@@ -5,13 +5,15 @@ import (
 
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/osmem"
+	"hybridtlb/internal/pagetable"
 	"hybridtlb/internal/tlb"
 )
 
 // clusterBlock is the coalescing reach of a cluster TLB entry: one entry
 // maps up to 8 pages of an 8-page-aligned virtual block whose frames are
-// contiguous relative to the block base (Pham et al., HPCA'14).
-const clusterBlock = 8
+// contiguous relative to the block base (Pham et al., HPCA'14). The block
+// is one PTE cache line, which is what lets scanBlock read it whole.
+const clusterBlock = pagetable.EntriesPerCacheBlock
 
 // clusterMMU implements the Cluster and Cluster2M schemes: the L2
 // capacity is statically partitioned into a regular TLB (4 KiB entries,
@@ -93,10 +95,8 @@ func clusterKey(block mem.VPN, pfnBase mem.PFN) uint64 {
 func scanBlock(proc *osmem.Process, vpn mem.VPN, pfn mem.PFN) (base mem.VPN, pfnBase mem.PFN, bitmap uint8) {
 	base = vpn.AlignDown(clusterBlock)
 	pfnBase = pfn - mem.PFN(vpn-base)
-	pt := proc.PageTable()
-	for off := mem.VPN(0); off < clusterBlock; off++ {
-		w := pt.Walk(base + off)
-		if w.Present && w.Class == mem.Class4K && w.PFN == pfnBase+mem.PFN(off) {
+	for off, e := range proc.PageTable().ReadBlock(base) {
+		if e.Present() && e.PFN() == pfnBase+mem.PFN(off) {
 			bitmap |= 1 << uint(off)
 		}
 	}

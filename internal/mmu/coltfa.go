@@ -50,35 +50,11 @@ func (m *coltfaMMU) Invalidate(vpn mem.VPN) {
 // discoverRun extends the walked page in both directions while the 4 KiB
 // mappings stay physically contiguous, up to the configured cap. The
 // hardware performs this from PTE cache lines fetched during and after
-// the walk.
+// the walk; the simulator likewise reads the leaf table page
+// (pagetable.ScanRun).
 func (m *coltfaMMU) discoverRun(vpn mem.VPN, pfn mem.PFN) tlb.RangeEntry {
-	pt := m.proc.PageTable()
-	cap := m.cfg.CoLTFAMaxPages
-	start, startPFN := vpn, pfn
-	var length uint64 = 1
-	// Forward first: streaming accesses move upward, so the budget is
-	// spent on pages that have not been translated yet.
-	end := vpn + 1
-	endPFN := pfn + 1
-	for length < cap {
-		w := pt.Walk(end)
-		if !w.Present || w.Class != mem.Class4K || w.PFN != endPFN {
-			break
-		}
-		end++
-		endPFN++
-		length++
-	}
-	for length < cap && start > 0 {
-		w := pt.Walk(start - 1)
-		if !w.Present || w.Class != mem.Class4K || w.PFN != startPFN-1 {
-			break
-		}
-		start--
-		startPFN--
-		length++
-	}
-	return tlb.RangeEntry{StartVPN: start, StartPFN: startPFN, Pages: length}
+	start, startPFN, pages := m.proc.PageTable().ScanRun(vpn, pfn, m.cfg.CoLTFAMaxPages)
+	return tlb.RangeEntry{StartVPN: start, StartPFN: startPFN, Pages: pages}
 }
 
 func (m *coltfaMMU) Translate(vpn mem.VPN) AccessResult {

@@ -7,6 +7,7 @@ import (
 	"hybridtlb/internal/core"
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/osmem"
+	"hybridtlb/internal/pagetable"
 )
 
 func TestSchemeNamesRoundTrip(t *testing.T) {
@@ -479,6 +480,47 @@ func TestCoLTFARunCap(t *testing.T) {
 	}
 	if st.Walks > 8 {
 		t.Errorf("walks = %d; coalescing far below cap", st.Walks)
+	}
+}
+
+// TestCoalescingMissWalksOnce checks that a coalescing fill's scan is
+// not counted as page walks: a miss advances the page table's Walks by
+// exactly one, and the neighbouring entries the fill examines count in
+// PTEReads — the 255 run pages past the missing one for colt-fa (cap
+// 256), one PTE cache block for the block-coalescing schemes.
+func TestCoalescingMissWalksOnce(t *testing.T) {
+	// Frames offset from the 2 MiB virtual alignment, so the THP scheme
+	// maps 4 KiB pages and every fill scans.
+	cl := mem.ChunkList{{StartVPN: 0x10000, StartPFN: 1<<22 + 3, Pages: 1000}}
+	cases := []struct {
+		s         Scheme
+		wantReads uint64
+	}{
+		{CoLTFA, DefaultConfig().CoLTFAMaxPages - 1},
+		{Cluster, pagetable.EntriesPerCacheBlock},
+		{Cluster2M, pagetable.EntriesPerCacheBlock},
+		{CoLT, pagetable.EntriesPerCacheBlock},
+	}
+	for _, c := range cases {
+		s, wantReads := c.s, c.wantReads
+		for _, batch := range []bool{false, true} {
+			proc, m := buildProc(t, s, cl, 0)
+			before := proc.PageTable().Stats()
+			vpn := mem.VPN(0x10000 + 500)
+			if batch {
+				m.TranslateBatch([]mem.VPN{vpn})
+			} else if res := m.Translate(vpn); res.Outcome != OutWalk {
+				t.Fatalf("%v: first access outcome %v, want a walk", s, res.Outcome)
+			}
+			after := proc.PageTable().Stats()
+			if got := after.Walks - before.Walks; got != 1 || m.Stats().Walks != 1 {
+				t.Errorf("%v (batch %v): page table Walks advanced %d, mmu Walks %d; want 1 and 1",
+					s, batch, got, m.Stats().Walks)
+			}
+			if got := after.PTEReads - before.PTEReads; got != wantReads {
+				t.Errorf("%v (batch %v): PTEReads advanced %d, want %d", s, batch, got, wantReads)
+			}
+		}
 	}
 }
 

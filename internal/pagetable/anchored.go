@@ -117,29 +117,20 @@ func (t *Table) AnchorContiguity(avpn mem.VPN, dist uint64) uint64 {
 // ComputeContiguity derives the true physical contiguity starting at avpn
 // by scanning leaf entries: the length of the run of present 4 KiB entries
 // whose frames increase by exactly one, capped at the encoding capacity for
-// dist. This is the reference the OS uses when (re)writing anchors; reads
-// are counted against the sweep cost model.
+// dist — the forward half of ScanRun. This is the reference the OS uses
+// when (re)writing anchors; the entries read count in PTEReads, not Walks.
 func (t *Table) ComputeContiguity(avpn mem.VPN, dist uint64) uint64 {
 	checkAnchorArgs(avpn, dist)
-	cap := contiguityCap(dist)
-	w := t.Walk(avpn)
-	t.stats.Walks-- // accounting: scans are not demand walks
-	if !w.Present || w.Class != mem.Class4K {
+	n := t.leafNode(avpn)
+	if n == nil {
 		return 0
 	}
-	run := uint64(1)
-	prev := w.PFN
-	for run < cap {
-		t.stats.PTEReads++
-		w := t.Walk(avpn + mem.VPN(run))
-		t.stats.Walks--
-		if !w.Present || w.Class != mem.Class4K || w.PFN != prev+1 {
-			break
-		}
-		prev = w.PFN
-		run++
+	i := indexAt(avpn, LevelPT)
+	t.stats.PTEReads++
+	if !n.pte[i].Present() {
+		return 0
 	}
-	return run
+	return t.scanForward(n, i, avpn, n.pte[i].PFN(), contiguityCap(dist))
 }
 
 // SweepResult reports the work performed by an anchor-distance sweep.

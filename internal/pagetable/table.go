@@ -46,8 +46,8 @@ const tableRegionBase mem.PhysAddr = 1 << 46
 type Stats struct {
 	Nodes     uint64 // table pages allocated
 	PTEWrites uint64 // leaf entry writes (map/unmap/anchor updates)
-	PTEReads  uint64 // leaf entry reads during sweeps
-	Walks     uint64 // full translations performed via Walk
+	PTEReads  uint64 // leaf entries read by scans (ScanRun, ReadBlock, ComputeContiguity)
+	Walks     uint64 // full translations performed via Walk/WalkFast
 }
 
 // Table is a four-level page table supporting 4 KiB and 2 MiB mappings and
@@ -306,6 +306,93 @@ func (t *Table) leafNode(vpn mem.VPN) *node {
 		n = n.child[i]
 	}
 	return n
+}
+
+// ScanRun extends the present 4 KiB mapping vpn -> pfn into the longest
+// physically contiguous run around it, forward first and then backward,
+// holding the run to at most maxPages pages (a run is never shorter than
+// the page itself). The run stops at a non-present entry, a frame that
+// does not continue the run, or a missing leaf table — a hole or a
+// 2 MiB/1 GiB mapping — exactly where a per-page Walk would stop on its
+// Present/Class4K/PFN check. It reads the 512-entry leaf array directly
+// and descends the tree again only to cross a leaf boundary. Each leaf
+// entry read counts in PTEReads; none counts as a Walk. A vpn outside
+// every 4 KiB leaf table yields the one-page run.
+//
+//tlbvet:hotpath
+func (t *Table) ScanRun(vpn mem.VPN, pfn mem.PFN, maxPages uint64) (start mem.VPN, startPFN mem.PFN, pages uint64) {
+	leaf := t.leafNode(vpn)
+	if leaf == nil {
+		return vpn, pfn, 1
+	}
+	i := indexAt(vpn, LevelPT)
+	// Forward first: streaming accesses move upward, so the budget is
+	// spent on pages that have not been translated yet.
+	pages = t.scanForward(leaf, i, vpn, pfn, maxPages)
+	start, startPFN = vpn, pfn
+	n, reads := leaf, uint64(0)
+	for pages < maxPages && start > 0 {
+		if i == 0 {
+			if n = t.leafNode(start - 1); n == nil {
+				break
+			}
+			i = entriesPerNode
+		}
+		i--
+		reads++
+		if e := n.pte[i]; !e.Present() || e.PFN() != startPFN-1 {
+			break
+		}
+		start--
+		startPFN--
+		pages++
+	}
+	t.stats.PTEReads += reads
+	return start, startPFN, pages
+}
+
+// scanForward returns the length of the contiguous run starting at the
+// present entry n.pte[i] (for vpn -> pfn), capped at maxPages, counting
+// the entries it reads after the first in PTEReads.
+//
+//tlbvet:hotpath
+func (t *Table) scanForward(n *node, i int, vpn mem.VPN, pfn mem.PFN, maxPages uint64) uint64 {
+	pages, reads := uint64(1), uint64(0)
+	for next := pfn + 1; pages < maxPages; next++ {
+		vpn++
+		if i++; i == entriesPerNode {
+			if n = t.leafNode(vpn); n == nil {
+				break
+			}
+			i = 0
+		}
+		reads++
+		if e := n.pte[i]; !e.Present() || e.PFN() != next {
+			break
+		}
+		pages++
+	}
+	t.stats.PTEReads += reads
+	return pages
+}
+
+// ReadBlock returns the EntriesPerCacheBlock leaf entries of the 64-byte
+// PTE cache block containing vpn — the line a walk of vpn has already
+// fetched — in VPN order from the block's aligned base. An aligned block
+// never crosses a leaf table, so this is one descent. Every entry is zero
+// (not present) when no 4 KiB leaf table covers vpn. The entries count in
+// PTEReads.
+//
+//tlbvet:hotpath
+func (t *Table) ReadBlock(vpn mem.VPN) (block [EntriesPerCacheBlock]PTE) {
+	n := t.leafNode(vpn)
+	if n == nil {
+		return block
+	}
+	i := indexAt(vpn, LevelPT) &^ (EntriesPerCacheBlock - 1)
+	copy(block[:], n.pte[i:i+EntriesPerCacheBlock])
+	t.stats.PTEReads += EntriesPerCacheBlock
+	return block
 }
 
 // Range calls fn for every present 4 KiB leaf entry in ascending VPN order.

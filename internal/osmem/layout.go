@@ -79,9 +79,10 @@ func (s Segment) EndVPN() mem.VPN { return s.StartVPN + mem.VPN(s.Pages) }
 //     non-anchored regions become huge pages.
 //   - Everything else is 4 KiB pages.
 //
+// The segments, at most four and in VPN order, are appended to segs and
+// the extended slice is returned, so a caller can reuse one buffer.
 // dist is ignored unless pol.Anchors is set.
-func DecomposeChunk(c mem.Chunk, pol Policy, dist uint64) []Segment {
-	var segs []Segment
+func DecomposeChunk(segs []Segment, c mem.Chunk, pol Policy, dist uint64) []Segment {
 	end := c.EndVPN()
 
 	nonAnchoredEnd := end

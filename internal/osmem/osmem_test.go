@@ -11,7 +11,7 @@ import (
 
 func TestDecomposeChunkPlain4K(t *testing.T) {
 	c := mem.Chunk{StartVPN: 100, StartPFN: 5000, Pages: 1000}
-	segs := DecomposeChunk(c, Policy{}, 0)
+	segs := DecomposeChunk(nil, c, Policy{}, 0)
 	if len(segs) != 1 || segs[0].Kind != Seg4K || segs[0].Pages != 1000 {
 		t.Fatalf("segs = %+v", segs)
 	}
@@ -21,7 +21,7 @@ func TestDecomposeChunkTHP(t *testing.T) {
 	// Congruent chunk (VPN-PFN offset is a multiple of 512) spanning
 	// several 2 MiB units with misaligned head and tail.
 	c := mem.Chunk{StartVPN: 500, StartPFN: 512*10 + 500, Pages: 512*3 + 100}
-	segs := DecomposeChunk(c, Policy{THP: true}, 0)
+	segs := DecomposeChunk(nil, c, Policy{THP: true}, 0)
 	if len(segs) != 3 {
 		t.Fatalf("segs = %+v", segs)
 	}
@@ -37,7 +37,7 @@ func TestDecomposeChunkTHP(t *testing.T) {
 
 	// Incongruent chunk: no promotion possible.
 	c2 := mem.Chunk{StartVPN: 0, StartPFN: 7, Pages: 2048}
-	segs2 := DecomposeChunk(c2, Policy{THP: true}, 0)
+	segs2 := DecomposeChunk(nil, c2, Policy{THP: true}, 0)
 	if len(segs2) != 1 || segs2[0].Kind != Seg4K {
 		t.Errorf("incongruent segs = %+v", segs2)
 	}
@@ -46,7 +46,7 @@ func TestDecomposeChunkTHP(t *testing.T) {
 func TestDecomposeChunkAnchored(t *testing.T) {
 	// Chunk starting misaligned to distance 16: head is 4K, tail anchored.
 	c := mem.Chunk{StartVPN: 10, StartPFN: 1000, Pages: 100}
-	segs := DecomposeChunk(c, Policy{Anchors: true}, 16)
+	segs := DecomposeChunk(nil, c, Policy{Anchors: true}, 16)
 	if len(segs) != 2 {
 		t.Fatalf("segs = %+v", segs)
 	}
@@ -59,14 +59,14 @@ func TestDecomposeChunkAnchored(t *testing.T) {
 
 	// Aligned chunk: fully anchored.
 	c2 := mem.Chunk{StartVPN: 32, StartPFN: 64, Pages: 64}
-	segs2 := DecomposeChunk(c2, Policy{Anchors: true}, 16)
+	segs2 := DecomposeChunk(nil, c2, Policy{Anchors: true}, 16)
 	if len(segs2) != 1 || segs2[0].Kind != SegAnchored {
 		t.Errorf("aligned segs = %+v", segs2)
 	}
 
 	// Chunk too small to contain an aligned anchor point: plain 4K.
 	c3 := mem.Chunk{StartVPN: 17, StartPFN: 100, Pages: 10}
-	segs3 := DecomposeChunk(c3, Policy{Anchors: true}, 64)
+	segs3 := DecomposeChunk(nil, c3, Policy{Anchors: true}, 64)
 	if len(segs3) != 1 || segs3[0].Kind != Seg4K {
 		t.Errorf("small segs = %+v", segs3)
 	}
@@ -75,7 +75,7 @@ func TestDecomposeChunkAnchored(t *testing.T) {
 func TestDecomposeChunkAnchorsWithTHPHead(t *testing.T) {
 	// Large distance: the long misaligned head gets huge pages.
 	c := mem.Chunk{StartVPN: 512, StartPFN: 512 * 7, Pages: 8192 - 512}
-	segs := DecomposeChunk(c, Policy{THP: true, Anchors: true}, 8192)
+	segs := DecomposeChunk(nil, c, Policy{THP: true, Anchors: true}, 8192)
 	// Head [512, 8192) is all 2 MiB-eligible; no anchored tail because
 	// the chunk ends exactly at the first aligned point.
 	if len(segs) != 1 || segs[0].Kind != Seg2M || segs[0].Pages != 8192-512 {
@@ -83,7 +83,7 @@ func TestDecomposeChunkAnchorsWithTHPHead(t *testing.T) {
 	}
 
 	c2 := mem.Chunk{StartVPN: 512, StartPFN: 512 * 7, Pages: 16384 - 512}
-	segs2 := DecomposeChunk(c2, Policy{THP: true, Anchors: true}, 8192)
+	segs2 := DecomposeChunk(nil, c2, Policy{THP: true, Anchors: true}, 8192)
 	if len(segs2) != 2 || segs2[0].Kind != Seg2M || segs2[1].Kind != SegAnchored {
 		t.Fatalf("segs = %+v", segs2)
 	}
@@ -105,7 +105,7 @@ func TestDecomposeChunkConservation(t *testing.T) {
 		}
 		pol := pols[r.Intn(len(pols))]
 		dist := uint64(1) << (1 + r.Intn(16))
-		segs := DecomposeChunk(c, pol, dist)
+		segs := DecomposeChunk(nil, c, pol, dist)
 		v := c.StartVPN
 		for _, s := range segs {
 			if s.StartVPN != v {

@@ -141,7 +141,8 @@ func (p *Process) InstallChunks(cl mem.ChunkList, fixedDistance uint64) error {
 }
 
 func (p *Process) installChunkAt(c mem.Chunk, dist uint64) {
-	for _, s := range DecomposeChunk(c, p.policy, dist) {
+	var buf [4]Segment
+	for _, s := range DecomposeChunk(buf[:0], c, p.policy, dist) {
 		switch s.Kind {
 		case Seg2M:
 			for off := uint64(0); off < s.Pages; off += mem.PagesPer2M {
@@ -153,9 +154,7 @@ func (p *Process) installChunkAt(c mem.Chunk, dist uint64) {
 				p.huge[vpn] = pfn
 			}
 		case Seg4K, SegAnchored:
-			for off := uint64(0); off < s.Pages; off++ {
-				p.pt.Map4K(s.StartVPN+mem.VPN(off), s.StartPFN+mem.PFN(off), pagetable.FlagWrite|pagetable.FlagUser)
-			}
+			p.pt.MapRun4K(s.StartVPN, s.StartPFN, s.Pages, pagetable.FlagWrite|pagetable.FlagUser)
 			if s.Kind == SegAnchored {
 				p.writeAnchors(s, c, dist)
 			}

@@ -95,7 +95,7 @@ func (p *Process) UnmapRange(startVPN mem.VPN, pages uint64) {
 
 // demoteHugeOverlapping demotes every 2 MiB page overlapping [lo, hi) back
 // to 4 KiB mappings for the portions that survive (are outside the cut but
-// inside the chunk).
+// inside the chunk): at most one run below the cut and one above it.
 func (p *Process) demoteHugeOverlapping(lo, hi mem.VPN, c mem.Chunk) {
 	for base := lo.AlignDown(mem.PagesPer2M); base < hi; base += mem.VPN(mem.PagesPer2M) {
 		pfn, ok := p.huge[base]
@@ -105,16 +105,17 @@ func (p *Process) demoteHugeOverlapping(lo, hi mem.VPN, c mem.Chunk) {
 		p.pt.Unmap(base)
 		p.shootdown(base)
 		delete(p.huge, base)
-		for off := mem.VPN(0); off < mem.VPN(mem.PagesPer2M); off++ {
-			v := base + off
-			if v >= lo && v < hi {
-				continue // being unmapped
-			}
-			if !c.Contains(v) {
-				continue
-			}
-			p.pt.Map4K(v, pfn+mem.PFN(off), pagetable.FlagWrite|pagetable.FlagUser)
-		}
+		from, to := maxVPN(base, c.StartVPN), minVPN(base+mem.VPN(mem.PagesPer2M), c.EndVPN())
+		p.remap4K(from, minVPN(to, lo), base, pfn)
+		p.remap4K(maxVPN(from, hi), to, base, pfn)
+	}
+}
+
+// remap4K maps [from, to) of the demoted 2 MiB page base -> pfn as one run
+// of 4 KiB pages; an empty range maps nothing.
+func (p *Process) remap4K(from, to, base mem.VPN, pfn mem.PFN) {
+	if from < to {
+		p.pt.MapRun4K(from, pfn+mem.PFN(from-base), uint64(to-from), pagetable.FlagWrite|pagetable.FlagUser)
 	}
 }
 

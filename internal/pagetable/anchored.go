@@ -66,8 +66,8 @@ func checkAnchorArgs(avpn mem.VPN, dist uint64) {
 // cost model of Section 3.3.
 func (t *Table) SetAnchorContiguity(avpn mem.VPN, dist, contiguity uint64) int {
 	checkAnchorArgs(avpn, dist)
-	n := t.leafNode(avpn)
-	if n == nil {
+	l := t.leafAt(avpn)
+	if l == nil {
 		return 0
 	}
 	if cap := contiguityCap(dist); contiguity > cap {
@@ -81,12 +81,12 @@ func (t *Table) SetAnchorContiguity(avpn mem.VPN, dist, contiguity uint64) int {
 		low = stored&(MaxContiguitySingle-1) | anchorValidBit
 		high = stored >> anchorPayloadBits
 	}
-	n.pte[i] = n.pte[i].WithIgn(low)
+	l.pte[i] = l.pte[i].WithIgn(low)
 	writes++
 	if dist >= EntriesPerCacheBlock {
 		// Distributed encoding: the next entry of the same cache block
 		// holds the high bits. i is block-aligned, so i+1 is in range.
-		n.pte[i+1] = n.pte[i+1].WithIgn(high)
+		l.pte[i+1] = l.pte[i+1].WithIgn(high)
 		writes++
 	}
 	t.stats.PTEWrites += uint64(writes)
@@ -98,18 +98,18 @@ func (t *Table) SetAnchorContiguity(avpn mem.VPN, dist, contiguity uint64) int {
 // anchor's page table page does not exist).
 func (t *Table) AnchorContiguity(avpn mem.VPN, dist uint64) uint64 {
 	checkAnchorArgs(avpn, dist)
-	n := t.leafNode(avpn)
-	if n == nil {
+	l := t.leafAt(avpn)
+	if l == nil {
 		return 0
 	}
 	i := indexAt(avpn, LevelPT)
-	low := n.pte[i].Ign()
+	low := l.pte[i].Ign()
 	if low&anchorValidBit == 0 {
 		return 0 // valid bit clear: no contiguity recorded
 	}
 	stored := low & (MaxContiguitySingle - 1)
 	if dist >= EntriesPerCacheBlock {
-		stored |= n.pte[i+1].Ign() << anchorPayloadBits
+		stored |= l.pte[i+1].Ign() << anchorPayloadBits
 	}
 	return stored + 1
 }
@@ -121,16 +121,16 @@ func (t *Table) AnchorContiguity(avpn mem.VPN, dist uint64) uint64 {
 // when (re)writing anchors; the entries read count in PTEReads, not Walks.
 func (t *Table) ComputeContiguity(avpn mem.VPN, dist uint64) uint64 {
 	checkAnchorArgs(avpn, dist)
-	n := t.leafNode(avpn)
-	if n == nil {
+	l := t.leafAt(avpn)
+	if l == nil {
 		return 0
 	}
 	i := indexAt(avpn, LevelPT)
 	t.stats.PTEReads++
-	if !n.pte[i].Present() {
+	if !l.pte[i].Present() {
 		return 0
 	}
-	return t.scanForward(n, i, avpn, n.pte[i].PFN(), contiguityCap(dist))
+	return t.scanForward(l, i, avpn, l.pte[i].PFN(), contiguityCap(dist))
 }
 
 // SweepResult reports the work performed by an anchor-distance sweep.

@@ -67,9 +67,14 @@ const MaxPFN mem.PFN = 1<<pfnBits - 1
 // would alias distinct frames.
 func (e PTE) WithPFN(p mem.PFN) PTE {
 	if p > MaxPFN {
-		panic(fmt.Sprintf("pagetable: PFN %#x exceeds the %d-bit frame field", uint64(p), pfnBits))
+		panic(frameOverflow(p))
 	}
 	return (e &^ pfnMask) | (PTE(p) << pfnShift & pfnMask)
+}
+
+// frameOverflow is the panic message for frame p beyond MaxPFN.
+func frameOverflow(p mem.PFN) string {
+	return fmt.Sprintf("pagetable: PFN %#x exceeds the %d-bit frame field", uint64(p), pfnBits)
 }
 
 // Ign extracts the OS-available ignored-bit field.

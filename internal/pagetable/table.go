@@ -26,13 +26,27 @@ const entriesPerNode = 512
 // distributed contiguity encoding may span this many entries.
 const EntriesPerCacheBlock = 8
 
-// node is one 4 KiB page table page.
-type node struct {
-	pte   [entriesPerNode]PTE
-	child [entriesPerNode]*node
+// dir is an interior (PML4, PDPT or PD) table page. A present entry that
+// is not a huge-page leaf points to the next level: dirs holds the child
+// tables below PML4 and PDPT, leaves those below PD.
+type dir struct {
+	pte    [entriesPerNode]PTE
+	dirs   [entriesPerNode]*dir
+	leaves [entriesPerNode]*leaf
 	// phys is the synthetic physical address of this table page, used by
 	// the detailed walk-latency model to derive the cache lines a
 	// hardware walker would touch.
+	phys mem.PhysAddr
+}
+
+// leaf is one PT-level table page: its 512 4 KiB entries and its
+// synthetic address. It holds no pointers, so the GC does not scan it.
+// The address header also keeps leaves off a 4 KiB allocation stride:
+// exactly page-sized leaves would all start page-aligned, and walks that
+// hit the same entry index in many leaves would then share one host L1
+// cache set.
+type leaf struct {
+	pte  [entriesPerNode]PTE
 	phys mem.PhysAddr
 }
 
@@ -53,15 +67,14 @@ type Stats struct {
 // Table is a four-level page table supporting 4 KiB and 2 MiB mappings and
 // the paper's anchor-entry contiguity encoding.
 type Table struct {
-	root  *node
+	root  *dir
 	stats Stats
 }
 
 // New creates an empty page table.
 func New() *Table {
-	t := &Table{root: &node{}}
+	t := &Table{root: &dir{phys: tableRegionBase}}
 	t.stats.Nodes = 1
-	t.root.phys = tableRegionBase
 	return t
 }
 
@@ -75,32 +88,108 @@ func indexAt(vpn mem.VPN, l Level) int {
 	return int(uint64(vpn)>>shift) & (entriesPerNode - 1)
 }
 
-// ensurePath walks interior levels down to stop, allocating nodes.
-func (t *Table) ensurePath(vpn mem.VPN, stop Level) *node {
-	n := t.root
+// interiorEntry is an interior entry pointing to a child table.
+const interiorEntry = FlagPresent | FlagWrite | FlagUser
+
+// newTablePhys counts a newly allocated table page and returns its
+// synthetic address. Table pages take consecutive pages of the table
+// region in allocation order, so a table's address depends only on the
+// order in which the mapping calls that built it first touched each
+// table.
+func (t *Table) newTablePhys() mem.PhysAddr {
+	phys := tableRegionBase + mem.PhysAddr(t.stats.Nodes)*mem.PhysAddr(mem.Size4K)
+	t.stats.Nodes++
+	return phys
+}
+
+// ensureDir descends from the root to the interior table at level stop
+// (LevelPDPT or LevelPD) covering vpn, allocating missing tables.
+func (t *Table) ensureDir(vpn mem.VPN, stop Level) *dir {
+	d := t.root
 	for l := LevelPML4; l < stop; l++ {
 		i := indexAt(vpn, l)
-		if n.child[i] == nil {
-			n.child[i] = &node{phys: tableRegionBase + mem.PhysAddr(t.stats.Nodes)*mem.PhysAddr(mem.Size4K)}
-			n.pte[i] = FlagPresent | FlagWrite | FlagUser
-			t.stats.Nodes++
+		if d.dirs[i] == nil {
+			d.dirs[i] = &dir{phys: t.newTablePhys()}
+			d.pte[i] = interiorEntry
 		}
-		n = n.child[i]
+		d = d.dirs[i]
 	}
-	return n
+	return d
 }
+
+// ensureLeaf returns the leaf table covering vpn, allocating the path to
+// it.
+func (t *Table) ensureLeaf(vpn mem.VPN) *leaf {
+	d := t.ensureDir(vpn, LevelPD)
+	i := indexAt(vpn, LevelPD)
+	if d.leaves[i] == nil {
+		d.leaves[i] = &leaf{phys: t.newTablePhys()}
+		d.pte[i] = interiorEntry
+	}
+	return d.leaves[i]
+}
+
+// dirAt returns the existing interior table at level stop covering vpn,
+// or nil where a table on the way is missing.
+func (t *Table) dirAt(vpn mem.VPN, stop Level) *dir {
+	d := t.root
+	for l := LevelPML4; l < stop && d != nil; l++ {
+		d = d.dirs[indexAt(vpn, l)]
+	}
+	return d
+}
+
+// leafAt returns the leaf table containing vpn's 4 KiB entry, or nil.
+func (t *Table) leafAt(vpn mem.VPN) *leaf {
+	if d := t.dirAt(vpn, LevelPD); d != nil {
+		return d.leaves[indexAt(vpn, LevelPD)]
+	}
+	return nil
+}
+
+// leafFlags is the flag part of a 4 KiB leaf entry mapped with flags.
+func leafFlags(flags PTE) PTE { return flags&FlagMask&^FlagHuge | FlagPresent }
 
 // Map4K installs a 4 KiB mapping vpn -> pfn with the given flags.
 // FlagPresent is implied.
 func (t *Table) Map4K(vpn mem.VPN, pfn mem.PFN, flags PTE) {
-	n := t.ensurePath(vpn, LevelPT)
+	l := t.ensureLeaf(vpn)
 	i := indexAt(vpn, LevelPT)
 	// Preserve previously stored ignored bits (anchor contiguity written
 	// before a neighbouring page was mapped).
-	ign := n.pte[i].Ign()
-	n.pte[i] = (flags & FlagMask &^ FlagHuge) | FlagPresent
-	n.pte[i] = n.pte[i].WithPFN(pfn).WithIgn(ign)
+	l.pte[i] = leafFlags(flags).WithPFN(pfn) | l.pte[i]&ignMask
 	t.stats.PTEWrites++
+}
+
+// MapRun4K maps the physically contiguous run vpn+k -> pfn+k, k < pages,
+// as 4 KiB pages with the given flags. It has the effect of a Map4K loop
+// over the run: the same entries, each keeping its ignored bits; the same
+// PTEWrites; and the same table pages, allocated in the same order and so
+// at the same synthetic addresses. It descends the tree once per leaf
+// table the run touches and fills that leaf's share of the run in one
+// pass. A frame beyond MaxPFN panics as in Map4K, but before any entry is
+// written.
+func (t *Table) MapRun4K(vpn mem.VPN, pfn mem.PFN, pages uint64, flags PTE) {
+	if pages == 0 {
+		return
+	}
+	if last := pfn + mem.PFN(pages-1); last < pfn || last > MaxPFN {
+		panic(frameOverflow(max(pfn, MaxPFN+1)))
+	}
+	e := leafFlags(flags).WithPFN(pfn)
+	for pages > 0 {
+		l := t.ensureLeaf(vpn)
+		i := indexAt(vpn, LevelPT)
+		n := min(pages, uint64(entriesPerNode-i))
+		run := l.pte[i : i+int(n)]
+		for j := range run {
+			run[j] = e | run[j]&ignMask
+			e += 1 << pfnShift
+		}
+		vpn += mem.VPN(n)
+		pages -= n
+		t.stats.PTEWrites += n
+	}
 }
 
 // Map2M installs a 2 MiB mapping. vpn and pfn must be 512-page aligned.
@@ -108,13 +197,12 @@ func (t *Table) Map2M(vpn mem.VPN, pfn mem.PFN, flags PTE) error {
 	if !vpn.IsAligned(mem.PagesPer2M) || !pfn.IsAligned(mem.PagesPer2M) {
 		return fmt.Errorf("pagetable: unaligned 2M mapping vpn=%#x pfn=%#x", uint64(vpn), uint64(pfn))
 	}
-	n := t.ensurePath(vpn, LevelPD)
+	d := t.ensureDir(vpn, LevelPD)
 	i := indexAt(vpn, LevelPD)
-	if n.child[i] != nil {
+	if d.leaves[i] != nil {
 		return fmt.Errorf("pagetable: 2M mapping at vpn=%#x overlaps existing 4K table", uint64(vpn))
 	}
-	n.pte[i] = (flags & FlagMask) | FlagPresent | FlagHuge
-	n.pte[i] = n.pte[i].WithPFN(pfn)
+	d.pte[i] = ((flags & FlagMask) | FlagPresent | FlagHuge).WithPFN(pfn)
 	t.stats.PTEWrites++
 	return nil
 }
@@ -127,13 +215,12 @@ func (t *Table) Map1G(vpn mem.VPN, pfn mem.PFN, flags PTE) error {
 	if !vpn.IsAligned(mem.PagesPer1G) || !pfn.IsAligned(mem.PagesPer1G) {
 		return fmt.Errorf("pagetable: unaligned 1G mapping vpn=%#x pfn=%#x", uint64(vpn), uint64(pfn))
 	}
-	n := t.ensurePath(vpn, LevelPDPT)
+	d := t.ensureDir(vpn, LevelPDPT)
 	i := indexAt(vpn, LevelPDPT)
-	if n.child[i] != nil {
+	if d.dirs[i] != nil {
 		return fmt.Errorf("pagetable: 1G mapping at vpn=%#x overlaps existing tables", uint64(vpn))
 	}
-	n.pte[i] = (flags & FlagMask) | FlagPresent | FlagHuge
-	n.pte[i] = n.pte[i].WithPFN(pfn)
+	d.pte[i] = ((flags & FlagMask) | FlagPresent | FlagHuge).WithPFN(pfn)
 	t.stats.PTEWrites++
 	return nil
 }
@@ -146,21 +233,16 @@ func (t *Table) Collapse2M(base mem.VPN, pfn mem.PFN, flags PTE) error {
 	if !base.IsAligned(mem.PagesPer2M) || !pfn.IsAligned(mem.PagesPer2M) {
 		return fmt.Errorf("pagetable: unaligned 2M collapse vpn=%#x pfn=%#x", uint64(base), uint64(pfn))
 	}
-	n := t.root
-	for l := LevelPML4; l < LevelPD; l++ {
-		i := indexAt(base, l)
-		if n.child[i] == nil {
-			return fmt.Errorf("pagetable: no table to collapse at vpn=%#x", uint64(base))
-		}
-		n = n.child[i]
+	d := t.dirAt(base, LevelPD)
+	if d == nil {
+		return fmt.Errorf("pagetable: no table to collapse at vpn=%#x", uint64(base))
 	}
 	i := indexAt(base, LevelPD)
-	if n.child[i] == nil {
+	if d.leaves[i] == nil {
 		return fmt.Errorf("pagetable: no 4K table under vpn=%#x", uint64(base))
 	}
-	n.child[i] = nil
-	n.pte[i] = (flags & FlagMask) | FlagPresent | FlagHuge
-	n.pte[i] = n.pte[i].WithPFN(pfn)
+	d.leaves[i] = nil
+	d.pte[i] = ((flags & FlagMask) | FlagPresent | FlagHuge).WithPFN(pfn)
 	t.stats.PTEWrites++
 	t.stats.Nodes--
 	return nil
@@ -170,27 +252,41 @@ func (t *Table) Collapse2M(base mem.VPN, pfn mem.PFN, flags PTE) error {
 // entry if vpn lies inside a huge page). It reports whether a mapping was
 // removed.
 func (t *Table) Unmap(vpn mem.VPN) bool {
-	n := t.root
-	for l := LevelPML4; l < LevelPT; l++ {
-		i := indexAt(vpn, l)
-		if (l == LevelPD || l == LevelPDPT) && n.pte[i].Present() && n.pte[i].Huge() {
-			n.pte[i] = 0
-			t.stats.PTEWrites++
-			return true
-		}
-		if n.child[i] == nil {
-			return false
-		}
-		n = n.child[i]
+	d := t.root.dirs[indexAt(vpn, LevelPML4)]
+	if d == nil {
+		return false
 	}
-	i := indexAt(vpn, LevelPT)
-	if !n.pte[i].Present() {
+	i := indexAt(vpn, LevelPDPT)
+	if t.unmapHuge(d, i) {
+		return true
+	}
+	if d = d.dirs[i]; d == nil {
+		return false
+	}
+	i = indexAt(vpn, LevelPD)
+	if t.unmapHuge(d, i) {
+		return true
+	}
+	l := d.leaves[i]
+	i = indexAt(vpn, LevelPT)
+	if l == nil || !l.pte[i].Present() {
 		return false
 	}
 	// Clear the entry but keep nothing: contiguity bits of an unmapped
 	// page are stale by definition and the OS rewrites anchors after
 	// unmap (Section 3.3, "Updating Memory Mapping").
-	n.pte[i] = 0
+	l.pte[i] = 0
+	t.stats.PTEWrites++
+	return true
+}
+
+// unmapHuge clears d.pte[i] if it is a 2 MiB or 1 GiB leaf and reports
+// whether it was.
+func (t *Table) unmapHuge(d *dir, i int) bool {
+	if e := d.pte[i]; !e.Present() || !e.Huge() {
+		return false
+	}
+	d.pte[i] = 0
 	t.stats.PTEWrites++
 	return true
 }
@@ -213,37 +309,28 @@ type WalkResult struct {
 // Walk translates vpn, descending the radix tree like the hardware walker.
 func (t *Table) Walk(vpn mem.VPN) WalkResult {
 	t.stats.Walks++
-	n := t.root
-	levels := 0
-	for l := LevelPML4; l < LevelPT; l++ {
-		levels++
-		i := indexAt(vpn, l)
-		if (l == LevelPD || l == LevelPDPT) && n.pte[i].Present() && n.pte[i].Huge() {
-			class := mem.Class2M
-			if l == LevelPDPT {
-				class = mem.Class1G
-			}
-			base := vpn.AlignDown(class.BasePages())
-			return WalkResult{
-				Present: true,
-				PFN:     n.pte[i].PFN() + mem.PFN(vpn-base),
-				Class:   class,
-				Entry:   n.pte[i],
-				BaseVPN: base,
-				BasePFN: n.pte[i].PFN(),
-				Levels:  levels,
-			}
-		}
-		if n.child[i] == nil {
-			return WalkResult{Levels: levels}
-		}
-		n = n.child[i]
+	d := t.root.dirs[indexAt(vpn, LevelPML4)]
+	if d == nil {
+		return WalkResult{Levels: 1}
 	}
-	levels++
-	i := indexAt(vpn, LevelPT)
-	e := n.pte[i]
+	i := indexAt(vpn, LevelPDPT)
+	if e := d.pte[i]; e.Present() && e.Huge() {
+		return hugeWalk(vpn, e, mem.Class1G, 2)
+	}
+	if d = d.dirs[i]; d == nil {
+		return WalkResult{Levels: 2}
+	}
+	i = indexAt(vpn, LevelPD)
+	if e := d.pte[i]; e.Present() && e.Huge() {
+		return hugeWalk(vpn, e, mem.Class2M, 3)
+	}
+	l := d.leaves[i]
+	if l == nil {
+		return WalkResult{Levels: 3}
+	}
+	e := l.pte[indexAt(vpn, LevelPT)]
 	if !e.Present() {
-		return WalkResult{Levels: levels}
+		return WalkResult{Levels: 4}
 	}
 	return WalkResult{
 		Present: true,
@@ -252,60 +339,63 @@ func (t *Table) Walk(vpn mem.VPN) WalkResult {
 		Entry:   e,
 		BaseVPN: vpn,
 		BasePFN: e.PFN(),
+		Levels:  4,
+	}
+}
+
+// hugeWalk is the result of a walk of vpn that ends at the huge-page leaf
+// e of the given class after touching levels tables.
+func hugeWalk(vpn mem.VPN, e PTE, class mem.PageClass, levels int) WalkResult {
+	base := vpn.AlignDown(class.BasePages())
+	return WalkResult{
+		Present: true,
+		PFN:     e.PFN() + mem.PFN(vpn-base),
+		Class:   class,
+		Entry:   e,
+		BaseVPN: base,
+		BasePFN: e.PFN(),
 		Levels:  levels,
 	}
 }
 
 // WalkFast is Walk for the flat-latency translation hot path: the same
-// traversal, huge-page checks, and Walks accounting, but unrolled and
-// returning only the fields that path consumes — as scalars, so the
-// result travels in registers instead of a WalkResult copy. A zero
-// return with present == false corresponds to a non-present WalkResult.
+// traversal, huge-page checks, and Walks accounting, but returning only
+// the fields that path consumes — as scalars, so the result travels in
+// registers instead of a WalkResult copy. A zero return with present ==
+// false corresponds to a non-present WalkResult.
 //
 //tlbvet:hotpath
 func (t *Table) WalkFast(vpn mem.VPN) (pfn mem.PFN, class mem.PageClass, baseVPN mem.VPN, basePFN mem.PFN, present bool) {
 	t.stats.Walks++
-	n := t.root.child[indexAt(vpn, LevelPML4)]
-	if n == nil {
+	d := t.root.dirs[indexAt(vpn, LevelPML4)]
+	if d == nil {
 		return
 	}
 	i := indexAt(vpn, LevelPDPT)
-	if e := n.pte[i]; e.Present() && e.Huge() {
+	if e := d.pte[i]; e.Present() && e.Huge() {
 		// PagesPer1G, not Class1G.BasePages(): the method inlines the
 		// Shift() switch whose panic string is a (dead) heap escape,
 		// which allocgate would flag inside this hotpath region.
 		base := vpn.AlignDown(mem.PagesPer1G)
 		return e.PFN() + mem.PFN(vpn-base), mem.Class1G, base, e.PFN(), true
 	}
-	if n = n.child[i]; n == nil {
+	if d = d.dirs[i]; d == nil {
 		return
 	}
 	i = indexAt(vpn, LevelPD)
-	if e := n.pte[i]; e.Present() && e.Huge() {
+	if e := d.pte[i]; e.Present() && e.Huge() {
 		base := vpn.AlignDown(mem.PagesPer2M)
 		return e.PFN() + mem.PFN(vpn-base), mem.Class2M, base, e.PFN(), true
 	}
-	if n = n.child[i]; n == nil {
+	l := d.leaves[i]
+	if l == nil {
 		return
 	}
-	e := n.pte[indexAt(vpn, LevelPT)]
+	e := l.pte[indexAt(vpn, LevelPT)]
 	if !e.Present() {
 		return
 	}
 	return e.PFN(), mem.Class4K, vpn, e.PFN(), true
-}
-
-// leafNode returns the PT-level node containing vpn's 4 KiB entry, or nil.
-func (t *Table) leafNode(vpn mem.VPN) *node {
-	n := t.root
-	for l := LevelPML4; l < LevelPT; l++ {
-		i := indexAt(vpn, l)
-		if n.child[i] == nil {
-			return nil
-		}
-		n = n.child[i]
-	}
-	return n
 }
 
 // ScanRun extends the present 4 KiB mapping vpn -> pfn into the longest
@@ -321,26 +411,26 @@ func (t *Table) leafNode(vpn mem.VPN) *node {
 //
 //tlbvet:hotpath
 func (t *Table) ScanRun(vpn mem.VPN, pfn mem.PFN, maxPages uint64) (start mem.VPN, startPFN mem.PFN, pages uint64) {
-	leaf := t.leafNode(vpn)
-	if leaf == nil {
+	l := t.leafAt(vpn)
+	if l == nil {
 		return vpn, pfn, 1
 	}
 	i := indexAt(vpn, LevelPT)
 	// Forward first: streaming accesses move upward, so the budget is
 	// spent on pages that have not been translated yet.
-	pages = t.scanForward(leaf, i, vpn, pfn, maxPages)
+	pages = t.scanForward(l, i, vpn, pfn, maxPages)
 	start, startPFN = vpn, pfn
-	n, reads := leaf, uint64(0)
+	reads := uint64(0)
 	for pages < maxPages && start > 0 {
 		if i == 0 {
-			if n = t.leafNode(start - 1); n == nil {
+			if l = t.leafAt(start - 1); l == nil {
 				break
 			}
 			i = entriesPerNode
 		}
 		i--
 		reads++
-		if e := n.pte[i]; !e.Present() || e.PFN() != startPFN-1 {
+		if e := l.pte[i]; !e.Present() || e.PFN() != startPFN-1 {
 			break
 		}
 		start--
@@ -352,22 +442,22 @@ func (t *Table) ScanRun(vpn mem.VPN, pfn mem.PFN, maxPages uint64) (start mem.VP
 }
 
 // scanForward returns the length of the contiguous run starting at the
-// present entry n.pte[i] (for vpn -> pfn), capped at maxPages, counting
+// present entry l.pte[i] (for vpn -> pfn), capped at maxPages, counting
 // the entries it reads after the first in PTEReads.
 //
 //tlbvet:hotpath
-func (t *Table) scanForward(n *node, i int, vpn mem.VPN, pfn mem.PFN, maxPages uint64) uint64 {
+func (t *Table) scanForward(l *leaf, i int, vpn mem.VPN, pfn mem.PFN, maxPages uint64) uint64 {
 	pages, reads := uint64(1), uint64(0)
 	for next := pfn + 1; pages < maxPages; next++ {
 		vpn++
 		if i++; i == entriesPerNode {
-			if n = t.leafNode(vpn); n == nil {
+			if l = t.leafAt(vpn); l == nil {
 				break
 			}
 			i = 0
 		}
 		reads++
-		if e := n.pte[i]; !e.Present() || e.PFN() != next {
+		if e := l.pte[i]; !e.Present() || e.PFN() != next {
 			break
 		}
 		pages++
@@ -385,12 +475,12 @@ func (t *Table) scanForward(n *node, i int, vpn mem.VPN, pfn mem.PFN, maxPages u
 //
 //tlbvet:hotpath
 func (t *Table) ReadBlock(vpn mem.VPN) (block [EntriesPerCacheBlock]PTE) {
-	n := t.leafNode(vpn)
-	if n == nil {
+	l := t.leafAt(vpn)
+	if l == nil {
 		return block
 	}
 	i := indexAt(vpn, LevelPT) &^ (EntriesPerCacheBlock - 1)
-	copy(block[:], n.pte[i:i+EntriesPerCacheBlock])
+	copy(block[:], l.pte[i:i+EntriesPerCacheBlock])
 	t.stats.PTEReads += EntriesPerCacheBlock
 	return block
 }
@@ -399,35 +489,39 @@ func (t *Table) ReadBlock(vpn mem.VPN) (block [EntriesPerCacheBlock]PTE) {
 // 2 MiB mappings are reported once with their base VPN and class Class2M.
 // fn returning false stops the iteration.
 func (t *Table) Range(fn func(vpn mem.VPN, e PTE, class mem.PageClass) bool) {
-	t.rangeNode(t.root, 0, LevelPML4, fn)
+	rangeDir(t.root, 0, LevelPML4, fn)
 }
 
-func (t *Table) rangeNode(n *node, baseVPN mem.VPN, l Level, fn func(mem.VPN, PTE, mem.PageClass) bool) bool {
+func rangeDir(d *dir, baseVPN mem.VPN, l Level, fn func(mem.VPN, PTE, mem.PageClass) bool) bool {
 	span := mem.VPN(1) << uint(9*(int(LevelPT)-int(l)))
 	for i := 0; i < entriesPerNode; i++ {
 		vpn := baseVPN + mem.VPN(i)*span
-		if l == LevelPT {
-			if n.pte[i].Present() {
-				if !fn(vpn, n.pte[i], mem.Class4K) {
-					return false
-				}
-			}
-			continue
-		}
-		if (l == LevelPD || l == LevelPDPT) && n.pte[i].Present() && n.pte[i].Huge() {
+		switch e := d.pte[i]; {
+		case l != LevelPML4 && e.Present() && e.Huge():
 			class := mem.Class2M
 			if l == LevelPDPT {
 				class = mem.Class1G
 			}
-			if !fn(vpn, n.pte[i], class) {
+			if !fn(vpn, e, class) {
 				return false
 			}
-			continue
+		case l == LevelPD && d.leaves[i] != nil:
+			if !rangeLeaf(d.leaves[i], vpn, fn) {
+				return false
+			}
+		case l < LevelPD && d.dirs[i] != nil:
+			if !rangeDir(d.dirs[i], vpn, l+1, fn) {
+				return false
+			}
 		}
-		if n.child[i] != nil {
-			if !t.rangeNode(n.child[i], vpn, l+1, fn) {
-				return false
-			}
+	}
+	return true
+}
+
+func rangeLeaf(lf *leaf, baseVPN mem.VPN, fn func(mem.VPN, PTE, mem.PageClass) bool) bool {
+	for i := range lf.pte {
+		if e := lf.pte[i]; e.Present() && !fn(baseVPN+mem.VPN(i), e, mem.Class4K) {
+			return false
 		}
 	}
 	return true
@@ -439,18 +533,21 @@ func (t *Table) rangeNode(n *node, baseVPN mem.VPN, l Level, fn func(mem.VPN, PT
 // feeds these through a cache hierarchy.
 func (t *Table) WalkLines(vpn mem.VPN) []mem.PhysAddr {
 	out := make([]mem.PhysAddr, 0, int(numLevels))
-	n := t.root
-	for l := LevelPML4; l < LevelPT; l++ {
+	d := t.root
+	for l := LevelPML4; l < LevelPD; l++ {
 		i := indexAt(vpn, l)
-		out = append(out, n.phys+mem.PhysAddr(i*8))
-		if (l == LevelPD || l == LevelPDPT) && n.pte[i].Present() && n.pte[i].Huge() {
+		out = append(out, d.phys+mem.PhysAddr(i*8))
+		if e := d.pte[i]; l == LevelPDPT && e.Present() && e.Huge() {
 			return out
 		}
-		if n.child[i] == nil {
+		if d = d.dirs[i]; d == nil {
 			return out
 		}
-		n = n.child[i]
 	}
-	i := indexAt(vpn, LevelPT)
-	return append(out, n.phys+mem.PhysAddr(i*8))
+	i := indexAt(vpn, LevelPD)
+	out = append(out, d.phys+mem.PhysAddr(i*8))
+	if l := d.leaves[i]; l != nil {
+		out = append(out, l.phys+mem.PhysAddr(indexAt(vpn, LevelPT)*8))
+	}
+	return out
 }

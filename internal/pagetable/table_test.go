@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -477,23 +478,52 @@ func TestMap1G(t *testing.T) {
 	}
 }
 
+// TestCollapse2M collapses the middle one of three populated leaves: the
+// 2 MiB page replaces it in Walk, Range and WalkLines, the neighbouring
+// leaves and their anchors are untouched, and Nodes drops by the one
+// table page freed.
 func TestCollapse2M(t *testing.T) {
 	pt := New()
-	for i := mem.VPN(0); i < 512; i++ {
-		pt.Map4K(i, 1024+mem.PFN(i), 0)
-	}
-	nodesBefore := pt.Stats().Nodes
-	if err := pt.Collapse2M(0, 1024, FlagWrite); err != nil {
+	const base = mem.VPN(0x3000)
+	pt.MapRun4K(base-512, 40000, 3*512, FlagWrite)
+	pt.SetAnchorContiguity(base-64, 64, 64)
+	pt.SetAnchorContiguity(base+64, 64, 32)
+	pt.SetAnchorContiguity(base+512, 64, 512)
+	before := pt.Stats()
+	linesBefore := pt.WalkLines(base + 512)
+
+	if err := pt.Collapse2M(base, 1<<18, FlagWrite); err != nil {
 		t.Fatal(err)
 	}
-	w := pt.Walk(100)
-	if !w.Present || w.Class != mem.Class2M || w.PFN != 1124 {
+	if s := pt.Stats(); s.Nodes != before.Nodes-1 || s.PTEWrites != before.PTEWrites+1 {
+		t.Errorf("stats %+v after collapse, from %+v", s, before)
+	}
+	if w := pt.Walk(base + 100); !w.Present || w.Class != mem.Class2M || w.PFN != 1<<18+100 {
 		t.Fatalf("walk = %+v", w)
 	}
-	if pt.Stats().Nodes != nodesBefore-1 {
-		t.Errorf("leaf table not freed: %d -> %d nodes", nodesBefore, pt.Stats().Nodes)
+	if lines := pt.WalkLines(base + 100); len(lines) != 3 {
+		t.Errorf("walk lines inside the collapsed page = %d, want 3", len(lines))
 	}
-	if err := pt.Collapse2M(0, 1024, 0); err == nil {
+	if got := pt.WalkLines(base + 512); !reflect.DeepEqual(got, linesBefore) {
+		t.Errorf("neighbouring leaf moved: %#x, was %#x", got, linesBefore)
+	}
+	var classes []mem.PageClass
+	pt.Range(func(vpn mem.VPN, e PTE, class mem.PageClass) bool {
+		if vpn >= base && vpn < base+512 {
+			classes = append(classes, class)
+		}
+		return true
+	})
+	if len(classes) != 1 || classes[0] != mem.Class2M {
+		t.Errorf("Range over the collapsed page saw %v, want one 2M entry", classes)
+	}
+	if pt.AnchorContiguity(base-64, 64) != 64 || pt.AnchorContiguity(base+512, 64) != 512 {
+		t.Error("anchors in the neighbouring leaves were disturbed")
+	}
+	if w := pt.Walk(base - 1); w.Class != mem.Class4K || w.PFN != 40000+511 {
+		t.Errorf("page below the collapsed one = %+v", w)
+	}
+	if err := pt.Collapse2M(base, 1<<18, 0); err == nil {
 		t.Error("double collapse accepted")
 	}
 	if err := pt.Collapse2M(5, 1024, 0); err == nil {

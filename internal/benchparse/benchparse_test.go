@@ -151,18 +151,18 @@ func baselineReport(ns map[string]float64) PipelineReport {
 
 func TestCompareBaseline(t *testing.T) {
 	base := baselineReport(map[string]float64{
-		"base/batched": 100, "anchor/batched": 110, "anchor/sharded": 130})
+		"base/batched": 100, "anchor/batched": 110, "anchor/serial": 130})
 
 	// Within tolerance: small slowdowns and any speedup pass.
 	fresh := baselineReport(map[string]float64{
-		"base/batched": 108, "anchor/batched": 90, "anchor/sharded": 130})
+		"base/batched": 108, "anchor/batched": 90, "anchor/serial": 130})
 	if err := CompareBaseline(fresh, base, 0.10); err != nil {
 		t.Errorf("within-tolerance report failed: %v", err)
 	}
 
 	// One cell regressed beyond 10%: the error must name it.
 	fresh = baselineReport(map[string]float64{
-		"base/batched": 125, "anchor/batched": 100, "anchor/sharded": 130})
+		"base/batched": 125, "anchor/batched": 100, "anchor/serial": 130})
 	err := CompareBaseline(fresh, base, 0.10)
 	if err == nil {
 		t.Fatal("25% regression passed the baseline gate")

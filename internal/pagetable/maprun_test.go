@@ -238,54 +238,3 @@ func TestMapRun4KFramePanic(t *testing.T) {
 		t.Errorf("last page -> %#x, want MaxPFN", uint64(w.PFN))
 	}
 }
-
-// cloneTable builds a table holding 4 KiB leaves with anchors, a 2 MiB
-// page and a 1 GiB page.
-func cloneTable(t *testing.T) *Table {
-	t.Helper()
-	pt := New()
-	pt.MapRun4K(0x1000-100, 20000, 1200, FlagWrite)
-	pt.SetAnchorContiguity(0x1000, 64, 1000)
-	if err := pt.Map2M(huge2MVPN, 1<<16, FlagWrite); err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.Map1G(1<<18, 2<<18, FlagWrite); err != nil {
-		t.Fatal(err)
-	}
-	pt.MapRun4K(1<<30, 1<<20, 3, FlagUser)
-	return pt
-}
-
-// TestCloneSharesNoState checks that a clone shows the same table and
-// that writes through either copy — remaps, anchors, unmaps, new tables,
-// collapses — leave the other unchanged.
-func TestCloneSharesNoState(t *testing.T) {
-	probes := []mem.VPN{0, huge2MVPN + 5, 1<<18 + 9, 1 << 34}
-	writes := func(pt *Table) {
-		pt.Map4K(0x1000+5, 777, FlagNX)
-		pt.SetAnchorContiguity(0x1000+64, 64, 9)
-		pt.Unmap(0x1000 - 99)
-		pt.Unmap(huge2MVPN + 1)
-		pt.MapRun4K(0x90000, 5, 700, FlagWrite)
-		if err := pt.Collapse2M(0x1000, 1<<17, FlagWrite); err != nil {
-			t.Fatal(err)
-		}
-		pt.Walk(0x1000)
-	}
-
-	orig := cloneTable(t)
-	want := viewOf(orig, probes...)
-	clone := orig.Clone()
-	sameView(t, viewOf(clone, probes...), want)
-	writes(clone)
-	sameView(t, viewOf(orig, probes...), want)
-	if viewOf(clone, probes...).stats == want.stats {
-		t.Error("writes to the clone changed nothing")
-	}
-
-	orig = cloneTable(t)
-	clone = orig.Clone()
-	want = viewOf(clone, probes...)
-	writes(orig)
-	sameView(t, viewOf(clone, probes...), want)
-}

@@ -95,9 +95,7 @@ type SimulateRequest struct {
 	FixedAnchorDistance uint64  `json:"fixed_anchor_distance,omitempty"`
 	CostModel           string  `json:"cost_model,omitempty"`
 	MultiRegionAnchors  bool    `json:"multi_region_anchors,omitempty"`
-	// Shards > 1 runs the simulation on the shard-parallel engine.
-	// Results are byte-identical to a serial run, so sharding never
-	// affects what a sweep cell reports — only how it is computed.
+	// Shards is accepted for compatibility and has no effect.
 	Shards int `json:"shards,omitempty"`
 	// StaticIdeal runs the exhaustive per-distance search instead of one
 	// simulation (simulate endpoint only; ignored in sweeps).
@@ -153,7 +151,6 @@ func (req SimulateRequest) toConfig() hybridtlb.SimulationConfig {
 		FixedAnchorDistance: req.FixedAnchorDistance,
 		CostModel:           req.CostModel,
 		MultiRegionAnchors:  req.MultiRegionAnchors,
-		Shards:              req.Shards,
 	}
 }
 
@@ -175,8 +172,7 @@ type SweepRequest struct {
 	FootprintPages     uint64 `json:"footprint_pages,omitempty"`
 	CostModel          string `json:"cost_model,omitempty"`
 	MultiRegionAnchors bool   `json:"multi_region_anchors,omitempty"`
-	// Shards applies the shard-parallel engine to every cell; results
-	// are byte-identical to serial, so it never splits cache cells.
+	// Shards is accepted for compatibility and has no effect.
 	Shards int `json:"shards,omitempty"`
 
 	// Priority picks the lane within the submitting tenant's fair-share
@@ -200,6 +196,9 @@ func (req SweepRequest) expand(lim Limits) ([]hybridtlb.SimulationConfig, []Simu
 		if len(axis.values) == 0 {
 			return nil, nil, invalidField(axis.field, "%s axis must name at least one value", axis.field)
 		}
+	}
+	if req.Shards < 0 {
+		return nil, nil, invalidField("shards", "shards %d is negative", req.Shards)
 	}
 	seeds := req.Seeds
 	if len(seeds) == 0 {
@@ -240,7 +239,6 @@ func (req SweepRequest) expand(lim Limits) ([]hybridtlb.SimulationConfig, []Simu
 								FixedAnchorDistance: dist,
 								CostModel:           req.CostModel,
 								MultiRegionAnchors:  req.MultiRegionAnchors,
-								Shards:              req.Shards,
 							}
 							if err := cell.validate(lim); err != nil {
 								return nil, nil, err

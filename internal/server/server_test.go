@@ -143,6 +143,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"pressure out of range", `{"scheme":"anchor","workload":"gups","scenario":"demand","pressure":1.5}`, "pressure"},
 		{"accesses over cap", `{"scheme":"anchor","workload":"gups","scenario":"demand","accesses":999999999}`, "accesses"},
 		{"unknown cost model", `{"scheme":"anchor","workload":"gups","scenario":"demand","cost_model":"psychic"}`, "cost_model"},
+		{"negative shards", `{"scheme":"anchor","workload":"gups","scenario":"demand","shards":-1}`, "shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -207,6 +208,16 @@ func TestSweepValidation(t *testing.T) {
 		env := decodeBody[errEnvelope](t, resp)
 		if env.Error.Field != "scheme" {
 			t.Errorf("field = %q, want scheme", env.Error.Field)
+		}
+	})
+	t.Run("negative shards", func(t *testing.T) {
+		resp := postJSON(t, ts.URL+"/v1/sweeps", `{"schemes":["anchor"],"workloads":["gups"],"scenarios":["demand"],"shards":-1}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400", resp.StatusCode)
+		}
+		env := decodeBody[errEnvelope](t, resp)
+		if env.Error.Field != "shards" {
+			t.Errorf("field = %q, want shards", env.Error.Field)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"hybridtlb/internal/mapping"
 	"hybridtlb/internal/mmu"
+	"hybridtlb/internal/osmem"
 	"hybridtlb/internal/trace"
 	"hybridtlb/internal/workload"
 )
@@ -37,24 +38,49 @@ func equivCfg(t testing.TB, scheme mmu.Scheme, scenario mapping.Scenario, wl str
 // scheme over every scenario must produce a byte-identical Result —
 // Stats, AnchorActions, final anchor distance, everything — through the
 // batched TranslateBatch pipeline and the record-at-a-time reference.
+// A few configurations outside the cross product ride along: a pinned
+// anchor distance (no re-selection epochs), the detailed walk model, and
+// a trace shorter than one batch.
 func TestBatchedSerialEquivalence(t *testing.T) {
+	type variant struct {
+		name string
+		cfg  Config
+	}
+	var variants []variant
 	for _, scheme := range mmu.All() {
 		for _, scenario := range mapping.All() {
-			t.Run(fmt.Sprintf("%s/%s", scheme, scenario), func(t *testing.T) {
-				cfg := equivCfg(t, scheme, scenario, "mcf")
-				serial, err := run(cfg, driveSerial)
-				if err != nil {
-					t.Fatal(err)
-				}
-				batched, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(serial, batched) {
-					t.Errorf("batched result diverged from serial:\nserial:  %+v\nbatched: %+v", serial, batched)
-				}
+			variants = append(variants, variant{
+				fmt.Sprintf("%s/%s", scheme, scenario),
+				equivCfg(t, scheme, scenario, "mcf"),
 			})
 		}
+	}
+	fixed := equivCfg(t, mmu.Anchor, mapping.Medium, "mcf")
+	fixed.FixedDistance = 8
+	walk := equivCfg(t, mmu.Anchor, mapping.Medium, "mcf")
+	walk.DetailedWalk = true
+	tiny := equivCfg(t, mmu.Cluster, mapping.Low, "mcf")
+	tiny.Accesses, tiny.WarmupAccesses = 40, 7
+	variants = append(variants,
+		variant{"anchor/medium/fixed-distance=8", fixed},
+		variant{"anchor/medium/detailed-walk", walk},
+		variant{"cluster/low/accesses=40,warmup=7", tiny},
+	)
+
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			serial, err := run(v.cfg, driveSerial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := Run(v.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, batched) {
+				t.Errorf("batched result diverged from serial:\nserial:  %+v\nbatched: %+v", serial, batched)
+			}
+		})
 	}
 }
 
@@ -80,60 +106,87 @@ func TestBatchedSerialEquivalenceMultiRegion(t *testing.T) {
 	}
 }
 
-// TestBatchedSerialEquivalenceReplay proves the replay path (which feeds
-// a trace.Reader's native ReadBatch into the drive) matches the serial
-// replay record for record.
+// TestBatchedSerialEquivalenceReplay proves the replay path matches the
+// serial replay record for record, from both trace formats: a varint
+// trace.Reader and an HTLBTRB2 trace.Bin each feed the drive through
+// their own native ReadBatch.
 func TestBatchedSerialEquivalenceReplay(t *testing.T) {
 	spec, err := workload.ByName("gups")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := spec.NewGenerator(0x4000, 1<<12, 6_000, 7)
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	// The trace is recorded over the replayed mapping's footprint, so
+	// accesses hit, miss and walk instead of all faulting.
+	recs := trace.Collect(spec.NewGenerator(mapping.DefaultBaseVPN, 1<<12, 6_000, 7), 0)
+	var varintBuf, binBuf bytes.Buffer
+	vw, err := trace.NewWriter(&varintBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		rec, ok := gen.Next()
-		if !ok {
-			break
+	bw, err := trace.NewBinWriter(&binBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := vw.Write(rec); err != nil {
+			t.Fatal(err)
 		}
-		if err := w.Write(rec); err != nil {
+		if err := bw.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := vw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	encoded := buf.Bytes()
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	formats := []struct {
+		name string
+		open func() (trace.Source, func() error, error)
+	}{
+		{"varint", func() (trace.Source, func() error, error) {
+			r, err := trace.NewReader(bytes.NewReader(varintBuf.Bytes()))
+			if err != nil {
+				return nil, nil, err
+			}
+			return r, r.Err, nil
+		}},
+		{"bin", func() (trace.Source, func() error, error) {
+			b, err := trace.NewBin(binBuf.Bytes())
+			return b, b.Close, err
+		}},
+	}
 
 	for _, scheme := range []mmu.Scheme{mmu.Base, mmu.Anchor, mmu.CoLT} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			cfg := equivCfg(t, scheme, mapping.Medium, "gups")
 			cfg.Accesses = 5_000 // replay bounds: warmup 500 + 5000 measured
-
-			serialR, err := trace.NewReader(bytes.NewReader(encoded))
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := runTrace(cfg, serialR, driveSerial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchedR, err := trace.NewReader(bytes.NewReader(encoded))
-			if err != nil {
-				t.Fatal(err)
-			}
-			batched, err := RunTrace(cfg, batchedR)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serialR.Err() != nil || batchedR.Err() != nil {
-				t.Fatalf("reader errors: serial %v, batched %v", serialR.Err(), batchedR.Err())
-			}
-			if !reflect.DeepEqual(serial, batched) {
-				t.Errorf("replay diverged:\nserial:  %+v\nbatched: %+v", serial, batched)
+			for _, f := range formats {
+				t.Run(f.name, func(t *testing.T) {
+					serialSrc, serialDone, err := f.open()
+					if err != nil {
+						t.Fatal(err)
+					}
+					serial, err := runTrace(cfg, serialSrc, driveSerial)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batchedSrc, batchedDone, err := f.open()
+					if err != nil {
+						t.Fatal(err)
+					}
+					batched, err := RunTrace(cfg, batchedSrc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err1, err2 := serialDone(), batchedDone(); err1 != nil || err2 != nil {
+						t.Fatalf("source errors: serial %v, batched %v", err1, err2)
+					}
+					if !reflect.DeepEqual(serial, batched) {
+						t.Errorf("replay diverged:\nserial:  %+v\nbatched: %+v", serial, batched)
+					}
+				})
 			}
 		})
 	}
@@ -182,257 +235,16 @@ func TestProbeEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardSerialEquivalence is the shard-parallel golden test: for every
-// shard count, scheme, and scenario, the shard engine's fixpoint replay
-// must reproduce the serial reference byte for byte — Stats,
-// AnchorActions, final anchor distance, OS counters, everything. Run
-// under -race in CI: the shards genuinely execute in parallel.
-func TestShardSerialEquivalence(t *testing.T) {
-	for _, shards := range []int{2, 4, 8} {
-		for _, scheme := range mmu.All() {
-			for _, scenario := range mapping.All() {
-				t.Run(fmt.Sprintf("k%d/%s/%s", shards, scheme, scenario), func(t *testing.T) {
-					cfg := equivCfg(t, scheme, scenario, "mcf")
-					serial, err := run(cfg, driveSerial)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Shards = shards
-					sharded, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(serial, sharded) {
-						t.Errorf("sharded result diverged from serial:\nserial:  %+v\nsharded: %+v", serial, sharded)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestShardSerialEquivalenceMultiRegion holds the shard engine against
-// the per-region anchor distance extension, where re-selection sweeps
-// different distances across the footprint.
-func TestShardSerialEquivalenceMultiRegion(t *testing.T) {
-	for _, scenario := range mapping.All() {
-		t.Run(scenario.String(), func(t *testing.T) {
-			cfg := equivCfg(t, mmu.Anchor, scenario, "mcf")
-			cfg.MultiRegionAnchors = true
-			serial, err := run(cfg, driveSerial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Shards = 4
-			sharded, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Errorf("sharded result diverged from serial:\nserial:  %+v\nsharded: %+v", serial, sharded)
-			}
-		})
-	}
-}
-
-// TestShardFixedDistance covers the static-anchor configuration: no
-// dynamic re-selection, so no epoch boundaries unless a probe asks for
-// them — segment cuts fall on raw record positions.
-func TestShardFixedDistance(t *testing.T) {
-	cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "mcf")
-	cfg.FixedDistance = 8
-	serial, err := run(cfg, driveSerial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards = 4
-	sharded, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Errorf("fixed-distance sharded diverged:\nserial:  %+v\nsharded: %+v", serial, sharded)
-	}
-}
-
-// TestShardProbeEquivalence pins probe delivery: shard completion order
-// is nondeterministic, but samples must arrive in epoch order with the
-// exact cumulative stats, instruction counts, and distances the serial
-// drive reports — and attaching a probe must not change the result.
-func TestShardProbeEquivalence(t *testing.T) {
-	for _, scheme := range []mmu.Scheme{mmu.Anchor, mmu.Base} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			base := equivCfg(t, scheme, mapping.Low, "mcf")
-			base.Shards = 4
-
-			plain, err := Run(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var serialSamples, shardedSamples []ProbeSample
-			cfg := base
-			cfg.Shards = 0
-			cfg.Probe = func(s ProbeSample) { serialSamples = append(serialSamples, s) }
-			serial, err := run(cfg, driveSerial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Shards = 4
-			cfg.Probe = func(s ProbeSample) { shardedSamples = append(shardedSamples, s) }
-			sharded, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if len(serialSamples) == 0 {
-				t.Fatal("probe never fired; epoch period too long for the test trace")
-			}
-			if !reflect.DeepEqual(serialSamples, shardedSamples) {
-				t.Errorf("probe samples diverged:\nserial:  %+v\nsharded: %+v", serialSamples, shardedSamples)
-			}
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Errorf("results with probe diverged:\nserial:  %+v\nsharded: %+v", serial, sharded)
-			}
-			if !reflect.DeepEqual(plain, sharded) {
-				t.Errorf("attaching a probe changed the sharded result:\nplain:  %+v\nprobed: %+v", plain, sharded)
-			}
-		})
-	}
-}
-
-// TestShardWarmupEdges exercises the mandatory warmup cut: mid-segment
-// positions, warmup consuming the whole trace, and warmup exceeding it
-// (the serial drive then never snapshots).
-func TestShardWarmupEdges(t *testing.T) {
-	total := uint64(3 * batchRecords)
-	for _, warm := range []uint64{1, batchRecords, batchRecords + 1, 2*batchRecords + 17, total, total + 100} {
-		t.Run(fmt.Sprintf("warm=%d", warm), func(t *testing.T) {
-			cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "gups")
-			cfg.Accesses = total
-			cfg.WarmupAccesses = warm
-			serial, err := run(cfg, driveSerial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Shards = 4
-			sharded, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Errorf("warmup=%d sharded diverged:\nserial:  %+v\nsharded: %+v", warm, serial, sharded)
-			}
-		})
-	}
-}
-
-// TestShardReplayBinTrace drives the shard engine from the binary trace
-// layer end to end: records encoded with BinWriter, reopened as a
-// zero-copy Bin view, replayed sharded, and held against the serial
-// replay of the same stream.
-func TestShardReplayBinTrace(t *testing.T) {
-	spec, err := workload.ByName("gups")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := spec.NewGenerator(0x4000, 1<<12, 6_000, 7)
-	var buf bytes.Buffer
-	w, err := trace.NewBinWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		rec, ok := gen.Next()
-		if !ok {
-			break
-		}
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	encoded := buf.Bytes()
-
-	for _, scheme := range []mmu.Scheme{mmu.Base, mmu.Anchor, mmu.CoLT} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			cfg := equivCfg(t, scheme, mapping.Medium, "gups")
-			cfg.Accesses = 5_000
-
-			serialB, err := trace.NewBin(encoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := runTrace(cfg, serialB, driveSerial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shardedB, err := trace.NewBin(encoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Shards = 4
-			sharded, err := RunTrace(cfg, shardedB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Errorf("bin replay diverged:\nserial:  %+v\nsharded: %+v", serial, sharded)
-			}
-		})
-	}
-}
-
-// TestShardFallbacks pins the configurations the shard engine must
-// decline: a detailed walk model (shared mutable walk state) and shard
-// counts the trace cannot fill. Both must silently produce the serial
-// drive's exact result.
-func TestShardFallbacks(t *testing.T) {
-	t.Run("detailed-walk", func(t *testing.T) {
-		cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "mcf")
-		cfg.DetailedWalk = true
-		serial, err := run(cfg, driveSerial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Shards = 4
-		sharded, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Errorf("detailed-walk fallback diverged:\nserial:  %+v\nsharded: %+v", serial, sharded)
-		}
-	})
-	t.Run("tiny-trace", func(t *testing.T) {
-		cfg := equivCfg(t, mmu.Cluster, mapping.Low, "mcf")
-		cfg.Accesses = 40
-		cfg.WarmupAccesses = 7
-		serial, err := run(cfg, driveSerial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Shards = 64
-		sharded, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Errorf("tiny-trace fallback diverged:\nserial:  %+v\nsharded: %+v", serial, sharded)
-		}
-	})
-}
-
 // TestWarmupOnBatchBoundary exercises the corner where the warmup
-// boundary lands exactly on a batch edge and where warmup exceeds one
-// batch, both of which take different paths through the segment slicer.
+// boundary lands exactly on a batch edge, where warmup exceeds one
+// batch, and where warmup is as long as the measured run or 100 beyond
+// it, all of which take different paths through the segment slicer.
 func TestWarmupOnBatchBoundary(t *testing.T) {
-	for _, warm := range []uint64{batchRecords, batchRecords + 1, 2*batchRecords + 17, 1} {
+	const measured = 3 * batchRecords
+	for _, warm := range []uint64{batchRecords, batchRecords + 1, 2*batchRecords + 17, 1, measured, measured + 100} {
 		t.Run(fmt.Sprintf("warm=%d", warm), func(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "gups")
-			cfg.Accesses = 3 * batchRecords
+			cfg.Accesses = measured
 			cfg.WarmupAccesses = warm
 			serial, err := run(cfg, driveSerial)
 			if err != nil {
@@ -447,4 +259,55 @@ func TestWarmupOnBatchBoundary(t *testing.T) {
 			}
 		})
 	}
+}
+
+// driveSerial is the original record-at-a-time loop, kept as the golden
+// reference: the batched drive must produce byte-identical results.
+func driveSerial(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result) {
+	anchors := cfg.Scheme.Policy().Anchors
+	dynamic := anchors && cfg.FixedDistance == 0
+	var instructions, sinceEpoch uint64
+	var warmLeft = cfg.WarmupAccesses
+	var warmStats mmu.Stats
+	var warmInstr uint64
+	epoch := 0
+
+	for {
+		rec, ok := src.Next()
+		if !ok {
+			break
+		}
+		m.Translate(rec.VPN)
+		instructions += uint64(rec.Instrs)
+		sinceEpoch += uint64(rec.Instrs)
+
+		if warmLeft > 0 {
+			warmLeft--
+			if warmLeft == 0 {
+				warmStats = m.Stats()
+				warmInstr = instructions
+			}
+		}
+		if (dynamic || cfg.Probe != nil) && sinceEpoch >= cfg.EpochInstructions {
+			sinceEpoch = 0
+			if dynamic {
+				proc.Reselect(cfg.SweepCost)
+			}
+			if cfg.Probe != nil {
+				epoch++
+				d := uint64(0)
+				if anchors {
+					d = proc.AnchorDistance()
+				}
+				cfg.Probe(ProbeSample{
+					Epoch:          epoch,
+					Instructions:   instructions,
+					Stats:          m.Stats(),
+					AnchorDistance: d,
+				})
+			}
+		}
+	}
+	res.Stats = subStats(m.Stats(), warmStats)
+	res.Instructions = instructions - warmInstr
 }

@@ -88,12 +88,7 @@ type Config struct {
 	// results, and the sweep engine excludes it from cache keys.
 	Probe Probe
 
-	// Shards splits the drive into that many trace segments replayed by
-	// parallel simulators (see shard.go). Results are byte-identical to
-	// the serial drive for every scheme — the equivalence suite holds
-	// them together — so the sweep engine excludes Shards from cache
-	// keys, like Probe. Values <= 1 (and configs the shard engine cannot
-	// serve, e.g. DetailedWalk) run the regular batched drive.
+	// Shards is accepted for compatibility and has no effect.
 	Shards int
 }
 
@@ -201,24 +196,13 @@ func (r Result) L2Breakdown() (regular, coalesced, miss float64) {
 		float64(r.Stats.Misses()) * inv
 }
 
-// driveFunc pushes a trace through an MMU; drive is the production
-// batched implementation, driveSerial the record-at-a-time reference the
-// equivalence suite compares it against.
+// driveFunc pushes a trace through an MMU. Run and RunTrace pass drive,
+// the batched implementation; the equivalence suite substitutes its
+// record-at-a-time reference to hold the two together.
 type driveFunc func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result)
 
 // Run executes one simulation.
-func Run(cfg Config) (Result, error) { return run(cfg, driveFor(cfg)) }
-
-// driveFor selects the drive implementation for a config: the
-// shard-parallel engine when sharding was requested, the batched drive
-// otherwise. driveSharded itself falls back to drive for configs it
-// cannot serve, so selection here only needs the shard count.
-func driveFor(cfg Config) driveFunc {
-	if cfg.Shards > 1 {
-		return driveSharded
-	}
-	return drive
-}
+func Run(cfg Config) (Result, error) { return run(cfg, drive) }
 
 func run(cfg Config, driveFn driveFunc) (Result, error) {
 	cfg = cfg.withDefaults()
@@ -265,10 +249,7 @@ func run(cfg Config, driveFn driveFunc) (Result, error) {
 	res.DistanceChanges = proc.DistanceChanges()
 	if am, ok := m.(interface {
 		Actions() map[core.L2Action]uint64
-	}); ok && res.AnchorActions == nil {
-		// The shard engine fills AnchorActions itself (the original MMU
-		// only replayed the first segment, so its live counters are
-		// partial); only a full serial drive reads them off the MMU here.
+	}); ok {
 		res.AnchorActions = am.Actions()
 	}
 	return res, nil
@@ -376,58 +357,6 @@ func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Re
 				sinceEpoch += segInstrs
 			}
 			start = end
-		}
-	}
-	res.Stats = subStats(m.Stats(), warmStats)
-	res.Instructions = instructions - warmInstr
-}
-
-// driveSerial is the original record-at-a-time loop, kept as the golden
-// reference: the batched drive above must produce byte-identical results.
-// Only the equivalence tests call it.
-func driveSerial(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result) {
-	anchors := cfg.Scheme.Policy().Anchors
-	dynamic := anchors && cfg.FixedDistance == 0
-	var instructions, sinceEpoch uint64
-	var warmLeft = cfg.WarmupAccesses
-	var warmStats mmu.Stats
-	var warmInstr uint64
-	epoch := 0
-
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		m.Translate(rec.VPN)
-		instructions += uint64(rec.Instrs)
-		sinceEpoch += uint64(rec.Instrs)
-
-		if warmLeft > 0 {
-			warmLeft--
-			if warmLeft == 0 {
-				warmStats = m.Stats()
-				warmInstr = instructions
-			}
-		}
-		if (dynamic || cfg.Probe != nil) && sinceEpoch >= cfg.EpochInstructions {
-			sinceEpoch = 0
-			if dynamic {
-				proc.Reselect(cfg.SweepCost)
-			}
-			if cfg.Probe != nil {
-				epoch++
-				d := uint64(0)
-				if anchors {
-					d = proc.AnchorDistance()
-				}
-				cfg.Probe(ProbeSample{
-					Epoch:          epoch,
-					Instructions:   instructions,
-					Stats:          m.Stats(),
-					AnchorDistance: d,
-				})
-			}
 		}
 	}
 	res.Stats = subStats(m.Stats(), warmStats)

@@ -176,7 +176,7 @@ func TestBinNonCanonicalBoolDecodes(t *testing.T) {
 	}
 }
 
-func TestBinDrainAndReset(t *testing.T) {
+func TestBinReset(t *testing.T) {
 	recs := sampleRecords(40)
 	b, err := NewBin(writeBinBytes(t, recs))
 	if err != nil {
@@ -185,12 +185,11 @@ func TestBinDrainAndReset(t *testing.T) {
 	if _, ok := b.Next(); !ok {
 		t.Fatal("Next failed")
 	}
-	rest := b.Drain()
-	if !reflect.DeepEqual(rest, recs[1:]) {
-		t.Fatalf("Drain mismatch")
+	if rest := Collect(b, 0); !reflect.DeepEqual(rest, recs[1:]) {
+		t.Fatalf("rest of trace mismatch")
 	}
 	if _, ok := b.Next(); ok {
-		t.Fatal("Next after Drain should report exhaustion")
+		t.Fatal("Next at end of trace should report exhaustion")
 	}
 	b.Reset()
 	if got := len(DrainSource(b)); got != len(recs) {
@@ -201,14 +200,14 @@ func TestBinDrainAndReset(t *testing.T) {
 func TestDrainSourceVariants(t *testing.T) {
 	recs := sampleRecords(25)
 
-	// SliceSource drains as a view.
+	// SliceSource drains from its current position.
 	ss := NewSliceSource(recs)
 	ss.Next()
 	if got := DrainSource(ss); !reflect.DeepEqual(got, recs[1:]) {
 		t.Fatalf("SliceSource drain mismatch")
 	}
 
-	// Limit clips the drained view.
+	// Limit clips the drained records.
 	lim := Limit(NewSliceSource(recs), 10)
 	if got := DrainSource(lim); !reflect.DeepEqual(got, recs[:10]) {
 		t.Fatalf("limit drain mismatch")
@@ -217,7 +216,7 @@ func TestDrainSourceVariants(t *testing.T) {
 		t.Fatalf("second drain returned %d records", len(n))
 	}
 
-	// Streaming v1 sources fall back to Collect.
+	// Streaming v1 sources drain the same way.
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
 	if err != nil {

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"hybridtlb/internal/mapping"
 	"hybridtlb/internal/mem"
-	"hybridtlb/internal/mmu"
-	"hybridtlb/internal/osmem"
 )
 
 // This file simulates mapping churn: the process frees and reallocates
@@ -37,100 +34,51 @@ type ChurnStats struct {
 }
 
 // RunWithChurn drives the workload while periodically remapping regions
-// of the footprint. Remapped regions keep their virtual addresses (a
-// free immediately followed by an allocation reusing them), so the
-// workload never faults; only the physical side and the affected anchors
-// change.
+// of the footprint: every ChurnIntervalInstructions the batched drive
+// stops after the crossing record and remaps one region. Remapped regions
+// keep their virtual addresses (a free immediately followed by an
+// allocation reusing them), so the workload never faults; only the
+// physical side and the affected anchors change.
 func RunWithChurn(cfg ChurnConfig) (Result, ChurnStats, error) {
 	base := cfg.Config.withDefaults()
 	if cfg.ChurnIntervalInstructions == 0 || cfg.ChurnPages == 0 {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: churn interval and size must be positive")
 	}
-
-	cl, err := mapping.Generate(base.Scenario, mapping.Config{
-		FootprintPages: base.FootprintPages,
-		Seed:           base.Seed,
-		Pressure:       base.Pressure,
-		FineGrained:    base.Workload.FineGrainedAlloc,
-	})
+	c, err := newCell(base)
 	if err != nil {
-		return Result{}, ChurnStats{}, fmt.Errorf("sim: generating mapping: %w", err)
+		return Result{}, ChurnStats{}, err
 	}
-	pol := base.Scheme.Policy()
-	pol.Cost = base.CostModel
-	proc := osmem.NewProcess(pol)
-	if err := proc.InstallChunks(cl, base.FixedDistance); err != nil {
-		return Result{}, ChurnStats{}, fmt.Errorf("sim: installing mapping: %w", err)
-	}
-	m := mmu.New(base.Scheme, base.HW, proc)
-
-	startVPN := cl[0].StartVPN
-	endVPN := cl[len(cl)-1].EndVPN()
-	gen := base.Workload.NewGenerator(startVPN, base.FootprintPages, base.WarmupAccesses+base.Accesses, base.Seed)
-
-	res := Result{
-		Scheme:   base.Scheme,
-		Workload: base.Workload.Name,
-		Scenario: base.Scenario,
-		Chunks:   len(cl),
-	}
+	// Each remap frees a random region and reallocates it at the same
+	// VAs from fresh frames above everything the mapping generator used,
+	// within the architectural 40-bit PFN field.
 	r := rand.New(rand.NewSource(base.Seed ^ 0x636875726e)) // "churn"
-	// Fresh frames for remaps come from a region above everything the
-	// mapping generator used, within the architectural 40-bit PFN field.
 	freshPFN := mem.PFN(1) << 38
-
+	startVPN, endVPN := c.cl[0].StartVPN, c.cl[len(c.cl)-1].EndVPN()
 	var stats ChurnStats
-	var instructions, sinceChurn, sinceEpoch uint64
-	warmLeft := base.WarmupAccesses
-	var warmStats mmu.Stats
-	var warmInstr uint64
-	dynamic := pol.Anchors && base.FixedDistance == 0
-
-	for {
-		rec, ok := gen.Next()
-		if !ok {
-			break
+	d := newDrive(c.m, c.proc, c.generator(base.WarmupAccesses+base.Accesses), c.cfg)
+	d.interval = cfg.ChurnIntervalInstructions
+	d.action = func() error {
+		span := uint64(endVPN - startVPN)
+		if span <= cfg.ChurnPages {
+			return nil
 		}
-		m.Translate(rec.VPN)
-		instructions += uint64(rec.Instrs)
-		sinceChurn += uint64(rec.Instrs)
-		sinceEpoch += uint64(rec.Instrs)
-
-		if warmLeft > 0 {
-			warmLeft--
-			if warmLeft == 0 {
-				warmStats = m.Stats()
-				warmInstr = instructions
-			}
+		v := startVPN + mem.VPN(uint64(r.Int63n(int64(span-cfg.ChurnPages))))
+		c.proc.UnmapRange(v, cfg.ChurnPages)
+		if err := c.proc.AppendChunk(mem.Chunk{StartVPN: v, StartPFN: freshPFN, Pages: cfg.ChurnPages}); err != nil {
+			return fmt.Errorf("sim: churn remap: %w", err)
 		}
-		if sinceChurn >= cfg.ChurnIntervalInstructions {
-			sinceChurn = 0
-			// Free + realloc a random region at the same VA.
-			span := uint64(endVPN - startVPN)
-			if span > cfg.ChurnPages {
-				v := startVPN + mem.VPN(uint64(r.Int63n(int64(span-cfg.ChurnPages))))
-				proc.UnmapRange(v, cfg.ChurnPages)
-				if err := proc.AppendChunk(mem.Chunk{StartVPN: v, StartPFN: freshPFN, Pages: cfg.ChurnPages}); err != nil {
-					return Result{}, ChurnStats{}, fmt.Errorf("sim: churn remap: %w", err)
-				}
-				freshPFN += mem.PFN(cfg.ChurnPages + 512)
-				stats.Operations++
-				stats.PagesRemapped += cfg.ChurnPages
-			}
-		}
-		if dynamic && sinceEpoch >= base.EpochInstructions {
-			sinceEpoch = 0
-			proc.Reselect(base.SweepCost)
-		}
+		freshPFN += mem.PFN(cfg.ChurnPages + 512)
+		stats.Operations++
+		stats.PagesRemapped += cfg.ChurnPages
+		return nil
 	}
-	res.Stats = subStats(m.Stats(), warmStats)
-	res.Instructions = instructions - warmInstr
-	res.HugePages = proc.HugePages()
-	res.AnchorDistance = proc.AnchorDistance()
-	res.DistanceChanges = proc.DistanceChanges()
+	if _, err := d.run(0); err != nil {
+		return Result{}, ChurnStats{}, err
+	}
+	d.finish(&c.res)
 
-	stats.EntryShootdowns = proc.EntryShootdowns()
-	stats.FullFlushes = proc.FullFlushes()
-	stats.DistanceChanges = proc.DistanceChanges()
-	return res, stats, nil
+	stats.EntryShootdowns = c.proc.EntryShootdowns()
+	stats.FullFlushes = c.proc.FullFlushes()
+	stats.DistanceChanges = c.proc.DistanceChanges()
+	return c.result(), stats, nil
 }

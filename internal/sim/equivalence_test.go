@@ -192,6 +192,41 @@ func TestBatchedSerialEquivalenceReplay(t *testing.T) {
 	}
 }
 
+// TestReplayMatchesRun replays Run's own generated trace through
+// RunTrace: both must set up the same cell, so the results must be
+// identical, per-region anchor distances included.
+func TestReplayMatchesRun(t *testing.T) {
+	type variant struct {
+		name string
+		cfg  Config
+	}
+	var variants []variant
+	for _, scheme := range []mmu.Scheme{mmu.Base, mmu.Anchor, mmu.CoLT, mmu.RMM} {
+		variants = append(variants, variant{scheme.String(), equivCfg(t, scheme, mapping.Medium, "mcf")})
+	}
+	regions := equivCfg(t, mmu.Anchor, mapping.Medium, "mcf")
+	regions.MultiRegionAnchors = true
+	variants = append(variants, variant{"anchor/multi-region", regions})
+
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			want, err := Run(v.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := v.cfg.withDefaults()
+			gen := d.Workload.NewGenerator(mapping.DefaultBaseVPN, d.FootprintPages, d.WarmupAccesses+d.Accesses, d.Seed)
+			got, err := RunTrace(v.cfg, trace.NewSliceSource(trace.Collect(gen, 0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("replay of Run's trace diverged:\nRun:      %+v\nRunTrace: %+v", want, got)
+			}
+		})
+	}
+}
+
 // TestProbeEquivalence pins the Probe hook to the same firing points on
 // both drive paths: same epochs, same instruction counts, same stats
 // snapshots, same anchor distances — and identical final results whether

@@ -1,13 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"hybridtlb/internal/mapping"
-	"hybridtlb/internal/mmu"
-	"hybridtlb/internal/osmem"
-	"hybridtlb/internal/trace"
-)
+import "fmt"
 
 // This file simulates time-shared cores: several processes round-robin on
 // one core, and — as the paper notes for native x86 Linux (Section 3.3:
@@ -42,17 +35,11 @@ type MultiProcessResult struct {
 	TotalMisses uint64
 }
 
-// procState is one time-shared process's live state.
-type procState struct {
-	proc         *osmem.Process
-	mmu          mmu.MMU
-	gen          trace.Source
-	instructions uint64
-	done         bool
-	res          Result
-}
-
-// RunMultiProcess time-shares the configured processes on one core.
+// RunMultiProcess time-shares the configured processes on one core: a
+// round-robin over one batched drive per process, each dispatch running
+// its drive for one quantum. Processes have no warmup, so every access
+// counts, and dynamic anchor schemes re-select at their own epoch
+// boundaries.
 func RunMultiProcess(cfg MultiProcessConfig) (MultiProcessResult, error) {
 	if len(cfg.Processes) == 0 {
 		return MultiProcessResult{}, fmt.Errorf("sim: no processes")
@@ -61,75 +48,56 @@ func RunMultiProcess(cfg MultiProcessConfig) (MultiProcessResult, error) {
 		return MultiProcessResult{}, fmt.Errorf("sim: zero scheduling quantum")
 	}
 
-	states := make([]*procState, 0, len(cfg.Processes))
+	cells := make([]*cell, len(cfg.Processes))
+	drives := make([]*drive, len(cfg.Processes))
 	for i, pc := range cfg.Processes {
-		pc = pc.withDefaults()
-		cl, err := mapping.Generate(pc.Scenario, mapping.Config{
-			FootprintPages: pc.FootprintPages,
-			Seed:           pc.Seed + int64(i), // distinct mappings per process
-			Pressure:       pc.Pressure,
-			FineGrained:    pc.Workload.FineGrainedAlloc,
-		})
+		c, err := processCell(pc, i)
 		if err != nil {
-			return MultiProcessResult{}, fmt.Errorf("sim: process %d mapping: %w", i, err)
+			return MultiProcessResult{}, fmt.Errorf("sim: process %d: %w", i, err)
 		}
-		pol := pc.Scheme.Policy()
-		pol.Cost = pc.CostModel
-		proc := osmem.NewProcess(pol)
-		if err := proc.InstallChunks(cl, pc.FixedDistance); err != nil {
-			return MultiProcessResult{}, fmt.Errorf("sim: process %d install: %w", i, err)
-		}
-		states = append(states, &procState{
-			proc: proc,
-			mmu:  mmu.New(pc.Scheme, pc.HW, proc),
-			gen:  pc.Workload.NewGenerator(cl[0].StartVPN, pc.FootprintPages, pc.Accesses, pc.Seed+int64(i)),
-			res: Result{
-				Scheme:   pc.Scheme,
-				Workload: pc.Workload.Name,
-				Scenario: pc.Scenario,
-				Chunks:   len(cl),
-			},
-		})
+		cells[i] = c
+		drives[i] = newDrive(c.m, c.proc, c.generator(c.cfg.Accesses), c.cfg)
 	}
 
+	// A process's drive is finished and dropped when its trace runs dry.
 	var out MultiProcessResult
-	live := len(states)
+	live := len(drives)
 	var dispatches uint64
-	for cur := 0; live > 0; cur = (cur + 1) % len(states) {
-		st := states[cur]
-		if st.done {
+	for cur := 0; live > 0; cur = (cur + 1) % len(drives) {
+		d := drives[cur]
+		if d == nil {
 			continue
 		}
 		// On dispatch the incoming process starts with cold TLBs unless
 		// the TLBs are ASID-tagged: the kernel flushed on the switch and
 		// restored CR3 plus the anchor distance register.
 		if !cfg.ASID {
-			st.mmu.Flush()
+			d.m.Flush()
 		}
 		dispatches++
-
-		var ranInQuantum uint64
-		for ranInQuantum < cfg.QuantumInstructions {
-			rec, ok := st.gen.Next()
-			if !ok {
-				st.done = true
-				live--
-				break
-			}
-			st.mmu.Translate(rec.VPN)
-			st.instructions += uint64(rec.Instrs)
-			ranInQuantum += uint64(rec.Instrs)
+		// Processes have no interval action, so the drive cannot fail.
+		if exhausted, _ := d.run(cfg.QuantumInstructions); exhausted {
+			d.finish(&cells[cur].res)
+			drives[cur] = nil
+			live--
 		}
 	}
-
-	for _, st := range states {
-		st.res.Stats = st.mmu.Stats()
-		st.res.Instructions = st.instructions
-		st.res.AnchorDistance = st.proc.AnchorDistance()
-		out.PerProcess = append(out.PerProcess, st.res)
-		out.TotalMisses += st.res.Stats.Misses()
+	for _, c := range cells {
+		res := c.result()
+		out.PerProcess = append(out.PerProcess, res)
+		out.TotalMisses += res.Stats.Misses()
 	}
 	// The first dispatch of each process is creation, not a switch.
-	out.ContextSwitches = dispatches - uint64(len(states))
+	out.ContextSwitches = dispatches - uint64(len(cells))
 	return out, nil
+}
+
+// processCell sets up the i-th time-shared process: its mapping and its
+// trace are seeded Seed+i, so processes get distinct mappings, and it has
+// no warmup.
+func processCell(pc Config, i int) (*cell, error) {
+	pc = pc.withDefaults()
+	pc.Seed += int64(i)
+	pc.WarmupAccesses = 0
+	return newCell(pc)
 }

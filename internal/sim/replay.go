@@ -1,67 +1,30 @@
 package sim
 
-import (
-	"fmt"
-
-	"hybridtlb/internal/core"
-	"hybridtlb/internal/mapping"
-	"hybridtlb/internal/mmu"
-	"hybridtlb/internal/osmem"
-	"hybridtlb/internal/trace"
-)
+import "hybridtlb/internal/trace"
 
 // RunTrace replays a recorded access trace (see internal/trace and
 // cmd/tracegen) through the configured scheme and mapping instead of
 // generating accesses — the record/replay mode the paper's Pin-based
 // methodology uses. The config's Workload supplies only the footprint
-// default; Accesses and WarmupAccesses bound and split the replay
-// (Accesses 0 replays everything after warmup).
+// default; WarmupAccesses and Accesses split and bound the replay, and
+// a shorter trace ends the run early.
 func RunTrace(cfg Config, src trace.Source) (Result, error) {
-	return runTrace(cfg, src, drive)
+	return runTrace(cfg, src, driveAll)
 }
 
+// runTrace sets up one cell and drives src through it, or the
+// workload's own generated trace when src is nil.
 func runTrace(cfg Config, src trace.Source, driveFn driveFunc) (Result, error) {
 	cfg = cfg.withDefaults()
-
-	cl, err := mapping.Generate(cfg.Scenario, mapping.Config{
-		FootprintPages: cfg.FootprintPages,
-		Seed:           cfg.Seed,
-		Pressure:       cfg.Pressure,
-		FineGrained:    cfg.Workload.FineGrainedAlloc,
-	})
+	c, err := newCell(cfg)
 	if err != nil {
-		return Result{}, fmt.Errorf("sim: generating mapping: %w", err)
+		return Result{}, err
 	}
-	if cfg.DetailedWalk {
-		cfg.HW.Walk = mmu.NewWalkModel()
+	if n := cfg.WarmupAccesses + cfg.Accesses; src == nil {
+		src = c.generator(n)
+	} else {
+		src = trace.Limit(src, n)
 	}
-	pol := cfg.Scheme.Policy()
-	pol.Cost = cfg.CostModel
-	proc := osmem.NewProcess(pol)
-	if err := proc.InstallChunks(cl, cfg.FixedDistance); err != nil {
-		return Result{}, fmt.Errorf("sim: installing mapping: %w", err)
-	}
-	m := mmu.New(cfg.Scheme, cfg.HW, proc)
-
-	res := Result{
-		Scheme:   cfg.Scheme,
-		Workload: cfg.Workload.Name,
-		Scenario: cfg.Scenario,
-		Chunks:   len(cl),
-	}
-	bounded := src
-	if cfg.Accesses > 0 {
-		bounded = trace.Limit(src, cfg.WarmupAccesses+cfg.Accesses)
-	}
-	driveFn(m, proc, bounded, cfg, &res)
-
-	res.HugePages = proc.HugePages()
-	res.AnchorDistance = proc.AnchorDistance()
-	res.DistanceChanges = proc.DistanceChanges()
-	if am, ok := m.(interface {
-		Actions() map[core.L2Action]uint64
-	}); ok {
-		res.AnchorActions = am.Actions()
-	}
-	return res, nil
+	driveFn(c.m, c.proc, src, c.cfg, &c.res)
+	return c.result(), nil
 }

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"hybridtlb/internal/core"
 	"hybridtlb/internal/mapping"
@@ -196,17 +197,34 @@ func (r Result) L2Breakdown() (regular, coalesced, miss float64) {
 		float64(r.Stats.Misses()) * inv
 }
 
-// driveFunc pushes a trace through an MMU. Run and RunTrace pass drive,
-// the batched implementation; the equivalence suite substitutes its
+// driveFunc pushes a trace through an MMU. Run and RunTrace pass
+// driveAll, the batched drive; the equivalence suite substitutes its
 // record-at-a-time reference to hold the two together.
 type driveFunc func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result)
 
 // Run executes one simulation.
-func Run(cfg Config) (Result, error) { return run(cfg, drive) }
+func Run(cfg Config) (Result, error) { return run(cfg, driveAll) }
 
-func run(cfg Config, driveFn driveFunc) (Result, error) {
-	cfg = cfg.withDefaults()
+func run(cfg Config, driveFn driveFunc) (Result, error) { return runTrace(cfg, nil, driveFn) }
 
+// cell is one simulation wired up: the mapping installed into an OS
+// process under the scheme's policy, the MMU over that process, and the
+// result header the drive and result complete. Every entry point —
+// Run, RunTrace, RunWithChurn and each process of RunMultiProcess —
+// sets up through newCell and reports through result.
+type cell struct {
+	cfg  Config
+	cl   mem.ChunkList
+	proc *osmem.Process
+	m    mmu.MMU
+	res  Result
+}
+
+// newCell sets up one simulation from a defaulted config: it generates
+// the mapping, applies DetailedWalk, installs the mapping (per-region
+// anchor distances under MultiRegionAnchors, else one process-wide
+// distance) and builds the MMU.
+func newCell(cfg Config) (*cell, error) {
 	cl, err := mapping.Generate(cfg.Scenario, mapping.Config{
 		FootprintPages: cfg.FootprintPages,
 		Seed:           cfg.Seed,
@@ -214,9 +232,8 @@ func run(cfg Config, driveFn driveFunc) (Result, error) {
 		FineGrained:    cfg.Workload.FineGrainedAlloc,
 	})
 	if err != nil {
-		return Result{}, fmt.Errorf("sim: generating mapping: %w", err)
+		return nil, fmt.Errorf("sim: generating mapping: %w", err)
 	}
-
 	if cfg.DetailedWalk {
 		cfg.HW.Walk = mmu.NewWalkModel()
 	}
@@ -224,35 +241,45 @@ func run(cfg Config, driveFn driveFunc) (Result, error) {
 	pol.Cost = cfg.CostModel
 	proc := osmem.NewProcess(pol)
 	if cfg.MultiRegionAnchors {
-		if err := proc.InstallChunksRegions(cl, 0); err != nil {
-			return Result{}, fmt.Errorf("sim: installing multi-region mapping: %w", err)
-		}
-	} else if err := proc.InstallChunks(cl, cfg.FixedDistance); err != nil {
-		return Result{}, fmt.Errorf("sim: installing mapping: %w", err)
+		err = proc.InstallChunksRegions(cl, 0)
+	} else {
+		err = proc.InstallChunks(cl, cfg.FixedDistance)
 	}
-	m := mmu.New(cfg.Scheme, cfg.HW, proc)
-
-	base := cl[0].StartVPN
-	gen := cfg.Workload.NewGenerator(base, cfg.FootprintPages, cfg.WarmupAccesses+cfg.Accesses, cfg.Seed)
-
-	res := Result{
-		Scheme:   cfg.Scheme,
-		Workload: cfg.Workload.Name,
-		Scenario: cfg.Scenario,
-		Chunks:   len(cl),
+	if err != nil {
+		return nil, fmt.Errorf("sim: installing mapping: %w", err)
 	}
+	return &cell{
+		cfg:  cfg,
+		cl:   cl,
+		proc: proc,
+		m:    mmu.New(cfg.Scheme, cfg.HW, proc),
+		res: Result{
+			Scheme:   cfg.Scheme,
+			Workload: cfg.Workload.Name,
+			Scenario: cfg.Scenario,
+			Chunks:   len(cl),
+		},
+	}, nil
+}
 
-	driveFn(m, proc, gen, cfg, &res)
+// generator returns the workload's access stream over the mapped
+// footprint, records long.
+func (c *cell) generator(records uint64) trace.Source {
+	return c.cfg.Workload.NewGenerator(c.cl[0].StartVPN, c.cfg.FootprintPages, records, c.cfg.Seed)
+}
 
-	res.HugePages = proc.HugePages()
-	res.AnchorDistance = proc.AnchorDistance()
-	res.DistanceChanges = proc.DistanceChanges()
-	if am, ok := m.(interface {
+// result completes the result with the OS facts at the end of the run;
+// the drive has already filled Stats and Instructions.
+func (c *cell) result() Result {
+	c.res.HugePages = c.proc.HugePages()
+	c.res.AnchorDistance = c.proc.AnchorDistance()
+	c.res.DistanceChanges = c.proc.DistanceChanges()
+	if am, ok := c.m.(interface {
 		Actions() map[core.L2Action]uint64
 	}); ok {
-		res.AnchorActions = am.Actions()
+		c.res.AnchorActions = am.Actions()
 	}
-	return res, nil
+	return c.res
 }
 
 // batchRecords is the drive loop's batch size: large enough to amortize
@@ -260,107 +287,176 @@ func run(cfg Config, driveFn driveFunc) (Result, error) {
 // VPN buffers (96 KiB together) stay cache-resident.
 const batchRecords = 4096
 
-// drive pushes the trace through the MMU in batches, resetting counters
-// after warmup and running the periodic distance re-selection. Each batch
-// is sliced into segments that stop exactly where the per-record loop
-// would act — at the warmup boundary (counted in accesses) and at each
-// epoch boundary (counted in instructions) — so the per-access warmup
-// countdown and epoch check live here, at segment granularity, instead of
-// inside the translation inner loop. Results are byte-identical to
-// driveSerial: the equivalence suite holds the two paths together.
-func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result) {
-	anchors := cfg.Scheme.Policy().Anchors
-	dynamic := anchors && cfg.FixedDistance == 0
-	trackEpochs := dynamic || cfg.Probe != nil
-	bs := trace.Batched(src)
+// drive pushes a trace through an MMU in batches, resetting counters
+// after warmup, running the periodic distance re-selection and, when set,
+// an interval action (the churn remap). Each batch is sliced into
+// segments that stop exactly where a per-record loop would act: at the
+// warmup boundary (counted in accesses), or at the first record that
+// crosses an epoch, the action interval or the caller's quantum (counted
+// in instructions). So the boundary checks live here, at segment
+// granularity, instead of inside the translation inner loop. The drive
+// keeps its buffers and its place in them between calls to run, so a
+// scheduler can stop it at a quantum and resume it later. Results are
+// byte-identical to the record-at-a-time references in the tests.
+type drive struct {
+	m                    mmu.MMU
+	proc                 *osmem.Process
+	src                  trace.BatchSource
+	cfg                  Config
+	dynamic, trackEpochs bool
 
-	recs := make([]trace.Record, batchRecords)
-	vpns := make([]mem.VPN, batchRecords)
+	// recs[pos:n] are read but not yet translated; vpns mirrors recs.
+	recs   []trace.Record
+	vpns   []mem.VPN
+	pos, n int
 
-	var instructions, sinceEpoch uint64
-	warmLeft := cfg.WarmupAccesses
-	var warmStats mmu.Stats
-	var warmInstr uint64
-	epoch := 0
+	instructions, sinceEpoch, warmLeft, warmInstr uint64
+	warmStats                                     mmu.Stats
+	epoch                                         int
 
-	// The batch loop is the per-access path: setup above (the two
-	// batchRecords-sized buffers) is the only allocation the drive makes.
+	// interval, when non-zero, fires action after the first record that
+	// brings the instructions since its last firing to interval.
+	interval, sinceAction uint64
+	action                func() error
+}
+
+func newDrive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config) *drive {
+	dynamic := cfg.Scheme.Policy().Anchors && cfg.FixedDistance == 0
+	return &drive{
+		m:           m,
+		proc:        proc,
+		src:         trace.Batched(src),
+		cfg:         cfg,
+		dynamic:     dynamic,
+		trackEpochs: dynamic || cfg.Probe != nil,
+		recs:        make([]trace.Record, batchRecords),
+		vpns:        make([]mem.VPN, batchRecords),
+		warmLeft:    cfg.WarmupAccesses,
+	}
+}
+
+// driveAll is the production driveFunc: one batched drive over the
+// whole trace.
+func driveAll(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result) {
+	d := newDrive(m, proc, src, cfg)
+	// Run to the end, so done is true; only an interval action can fail.
+	_, _ = d.run(0)
+	d.finish(res)
+}
+
+// run translates records until the source is exhausted, reporting done,
+// or — with a non-zero quantum — until the first record that brings this
+// call's instructions to quantum. The source is read only when a record
+// is needed, so a quantum that ends on the last record leaves done to
+// the next call. An error from the interval action stops the drive.
+func (d *drive) run(quantum uint64) (done bool, err error) {
+	recs, vpns := d.recs, d.vpns
+	var ran uint64
+	// The batch loop is the per-access path: newDrive's two
+	// batchRecords-sized buffers are the only allocation the drive makes.
 	//tlbvet:hotpath
 	for {
-		n := bs.ReadBatch(recs)
-		if n == 0 {
-			break
+		if d.pos == d.n {
+			d.pos, d.n = 0, d.src.ReadBatch(recs)
+			if d.n == 0 {
+				return true, nil
+			}
+			for i := 0; i < d.n; i++ {
+				vpns[i] = recs[i].VPN
+			}
 		}
-		for i := 0; i < n; i++ {
-			vpns[i] = recs[i].VPN
+		// The segment ends at the batch end, the warmup boundary, or the
+		// first record whose instructions reach the nearest of the
+		// instruction budgets — whichever comes first. Each counter is
+		// below its period here (it resets on every crossing), so every
+		// budget is at least one, and every budget the segment's
+		// instructions reach was crossed on its last record.
+		start, end := d.pos, d.n
+		if d.warmLeft > 0 && uint64(end-start) > d.warmLeft {
+			end = start + int(d.warmLeft)
 		}
-		for start := 0; start < n; {
-			// The segment ends at the batch end, the warmup boundary, or
-			// the first record that crosses the epoch threshold —
-			// whichever comes first. The serial loop checks warmup before
-			// the epoch on each record, and both after translating it;
-			// applying the warmup snapshot first below preserves that
-			// order when one record is both boundaries.
-			end := n
-			if warmLeft > 0 && uint64(end-start) > warmLeft {
-				end = start + int(warmLeft)
+		budget := uint64(math.MaxUint64)
+		if d.trackEpochs {
+			budget = d.cfg.EpochInstructions - d.sinceEpoch
+		}
+		if d.interval > 0 {
+			budget = min(budget, d.interval-d.sinceAction)
+		}
+		if quantum > 0 {
+			budget = min(budget, quantum-ran)
+		}
+		var seg uint64
+		for i := start; i < end; i++ {
+			seg += uint64(recs[i].Instrs)
+			if seg >= budget {
+				end = i + 1
+				break
 			}
-			var segInstrs uint64
-			epochCrossed := false
-			if trackEpochs {
-				// sinceEpoch < EpochInstructions holds here (it resets on
-				// every crossing), so the budget is at least one.
-				budget := cfg.EpochInstructions - sinceEpoch
-				for i := start; i < end; i++ {
-					segInstrs += uint64(recs[i].Instrs)
-					if segInstrs >= budget {
-						end = i + 1
-						epochCrossed = true
-						break
-					}
-				}
-			} else {
-				for i := start; i < end; i++ {
-					segInstrs += uint64(recs[i].Instrs)
-				}
-			}
+		}
 
-			m.TranslateBatch(vpns[start:end])
-			instructions += segInstrs
+		d.m.TranslateBatch(vpns[start:end])
+		d.instructions += seg
+		d.pos = end
 
-			if warmLeft > 0 {
-				warmLeft -= uint64(end - start)
-				if warmLeft == 0 {
-					warmStats = m.Stats()
-					warmInstr = instructions
+		// The per-record loops act after translating a record, in this
+		// order: warmup snapshot, interval action, epoch re-selection and
+		// probe. Applying them in the same order keeps one record that
+		// is several boundaries at once byte-identical.
+		if d.warmLeft > 0 {
+			d.warmLeft -= uint64(end - start)
+			if d.warmLeft == 0 {
+				d.warmStats = d.m.Stats()
+				d.warmInstr = d.instructions
+			}
+		}
+		if d.interval > 0 {
+			if d.sinceAction += seg; d.sinceAction >= d.interval {
+				d.sinceAction = 0
+				if err := d.action(); err != nil {
+					return false, err
 				}
 			}
-			if epochCrossed {
-				sinceEpoch = 0
-				if dynamic {
-					proc.Reselect(cfg.SweepCost)
-				}
-				if cfg.Probe != nil {
-					epoch++
-					d := uint64(0)
-					if anchors {
-						d = proc.AnchorDistance()
-					}
-					cfg.Probe(ProbeSample{
-						Epoch:          epoch,
-						Instructions:   instructions,
-						Stats:          m.Stats(),
-						AnchorDistance: d,
-					})
-				}
-			} else {
-				sinceEpoch += segInstrs
+		}
+		if d.trackEpochs {
+			if d.sinceEpoch += seg; d.sinceEpoch >= d.cfg.EpochInstructions {
+				d.sinceEpoch = 0
+				d.endEpoch()
 			}
-			start = end
+		}
+		if quantum > 0 {
+			if ran += seg; ran >= quantum {
+				return false, nil
+			}
 		}
 	}
-	res.Stats = subStats(m.Stats(), warmStats)
-	res.Instructions = instructions - warmInstr
+}
+
+// endEpoch re-selects the anchor distance (dynamic schemes) and reports
+// the boundary to the probe.
+func (d *drive) endEpoch() {
+	if d.dynamic {
+		d.proc.Reselect(d.cfg.SweepCost)
+	}
+	if d.cfg.Probe == nil {
+		return
+	}
+	d.epoch++
+	dist := uint64(0)
+	if d.proc.Policy().Anchors {
+		dist = d.proc.AnchorDistance()
+	}
+	d.cfg.Probe(ProbeSample{
+		Epoch:          d.epoch,
+		Instructions:   d.instructions,
+		Stats:          d.m.Stats(),
+		AnchorDistance: dist,
+	})
+}
+
+// finish records the measured counters: everything after warmup.
+func (d *drive) finish(res *Result) {
+	res.Stats = subStats(d.m.Stats(), d.warmStats)
+	res.Instructions = d.instructions - d.warmInstr
 }
 
 func subStats(a, b mmu.Stats) mmu.Stats {

@@ -104,19 +104,42 @@ func (p *Process) shootdown(vpn mem.VPN) {
 	}
 }
 
+// Release hands the process's page table pages to processes built
+// later. The process, and any MMU over it, must not be used afterwards.
+func (p *Process) Release() { p.pt.Release() }
+
+// PrepareChunks returns the sorted, virtually coalesced copy of cl that
+// a process installs, or an error when cl is not a valid mapping.
+func PrepareChunks(cl mem.ChunkList) (mem.ChunkList, error) {
+	sorted := append(mem.ChunkList(nil), cl...)
+	sorted.Sort()
+	sorted = sorted.CoalesceVirtual()
+	if err := sorted.Validate(); err != nil {
+		return nil, fmt.Errorf("osmem: invalid chunk list: %w", err)
+	}
+	return sorted, nil
+}
+
 // InstallChunks replaces the process mapping with the given chunk list:
 // it coalesces and validates the list, selects the anchor distance from
 // the contiguity histogram when the policy uses anchors (unless a
 // non-zero fixedDistance pins it, for the static-ideal configuration),
 // rebuilds the page table, and flushes TLBs.
 func (p *Process) InstallChunks(cl mem.ChunkList, fixedDistance uint64) error {
-	sorted := append(mem.ChunkList(nil), cl...)
-	sorted.Sort()
-	sorted = sorted.CoalesceVirtual()
-	if err := sorted.Validate(); err != nil {
-		return fmt.Errorf("osmem: invalid chunk list: %w", err)
+	sorted, err := PrepareChunks(cl)
+	if err != nil {
+		return err
 	}
-	p.chunks = sorted
+	return p.InstallPrepared(sorted, fixedDistance)
+}
+
+// InstallPrepared is InstallChunks for a list PrepareChunks returned,
+// which the process shares instead of copying. The process never writes
+// the shared list — a remap that grows it reallocates, the others build
+// new lists — so any number of processes, on any goroutines, can
+// install the same prepared list.
+func (p *Process) InstallPrepared(sorted mem.ChunkList, fixedDistance uint64) error {
+	p.chunks = sorted[:len(sorted):len(sorted)]
 
 	if p.policy.Anchors {
 		switch {

@@ -112,11 +112,9 @@ func (p *Process) InstallChunksRegions(cl mem.ChunkList, maxRegions int) error {
 	if maxRegions <= 0 || maxRegions > MaxHWRegions {
 		maxRegions = MaxHWRegions
 	}
-	sorted := append(mem.ChunkList(nil), cl...)
-	sorted.Sort()
-	sorted = sorted.CoalesceVirtual()
-	if err := sorted.Validate(); err != nil {
-		return fmt.Errorf("osmem: invalid chunk list: %w", err)
+	sorted, err := PrepareChunks(cl)
+	if err != nil {
+		return err
 	}
 	p.chunks = sorted
 	p.regions = PartitionRegionsModel(sorted, maxRegions, p.policy.Cost)

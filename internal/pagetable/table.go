@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"fmt"
+	"sync"
 
 	"hybridtlb/internal/mem"
 )
@@ -123,10 +124,46 @@ func (t *Table) ensureLeaf(vpn mem.VPN) *leaf {
 	d := t.ensureDir(vpn, LevelPD)
 	i := indexAt(vpn, LevelPD)
 	if d.leaves[i] == nil {
-		d.leaves[i] = &leaf{phys: t.newTablePhys()}
+		l, _ := leafPool.Get().(*leaf)
+		if l == nil {
+			l = new(leaf)
+		} else {
+			*l = leaf{}
+		}
+		l.phys = t.newTablePhys()
+		d.leaves[i] = l
 		d.pte[i] = interiorEntry
 	}
 	return d.leaves[i]
+}
+
+// leafPool holds the leaves of released tables for the tables built
+// after them. A sweep builds and drops one page table per cell, and
+// leaves are nearly all of a table: a 2M-page footprint maps 4096 of
+// them (16 MiB). Reusing them spares the allocator and the GC a table's
+// worth of fresh pages per cell.
+var leafPool sync.Pool
+
+// Release hands the table's leaves to tables built later. The table
+// must not be used afterwards, nor any reference into it.
+func (t *Table) Release() { releaseDir(t.root, LevelPML4) }
+
+// releaseDir pools the leaves below d, a table at level l.
+func releaseDir(d *dir, l Level) {
+	if l == LevelPD {
+		for i, lf := range d.leaves {
+			if lf != nil {
+				leafPool.Put(lf)
+				d.leaves[i] = nil
+			}
+		}
+		return
+	}
+	for _, c := range d.dirs {
+		if c != nil {
+			releaseDir(c, l+1)
+		}
+	}
 }
 
 // dirAt returns the existing interior table at level stop covering vpn,

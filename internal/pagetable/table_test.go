@@ -576,3 +576,44 @@ func TestWalkFastMatchesWalk(t *testing.T) {
 		t.Errorf("Walks counter advanced %d, want %d (WalkFast must account like Walk)", got, probes)
 	}
 }
+
+// TestReleaseRecyclesCleanLeaves: a table built after another was
+// released — so possibly from its recycled leaves — is the table a fresh
+// build gives: the same entries and nothing stale, the same walks, the
+// same table addresses and the same counters.
+func TestReleaseRecyclesCleanLeaves(t *testing.T) {
+	old := New()
+	old.MapRun4K(0x40000, 0x9000, 4096, FlagWrite)
+	old.SetAnchorContiguity(0x40000, 64, 77)
+	old.Release()
+
+	build := func() *Table {
+		pt := New()
+		pt.MapRun4K(0x40200, 0x1000, 700, 0)
+		pt.Map4K(0x90000, 0x5, FlagWrite)
+		return pt
+	}
+	reused, fresh := build(), build()
+	entries := func(pt *Table) map[mem.VPN]PTE {
+		out := make(map[mem.VPN]PTE)
+		pt.Range(func(vpn mem.VPN, e PTE, _ mem.PageClass) bool {
+			out[vpn] = e
+			return true
+		})
+		return out
+	}
+	if !reflect.DeepEqual(entries(reused), entries(fresh)) {
+		t.Error("a table built on recycled leaves holds other entries than a fresh one")
+	}
+	for _, vpn := range []mem.VPN{0x40000, 0x40200, 0x404bb, 0x40600, 0x90000, 0x90001} {
+		if a, b := reused.Walk(vpn), fresh.Walk(vpn); a != b {
+			t.Errorf("walk(%#x) = %+v, fresh table %+v", uint64(vpn), a, b)
+		}
+		if a, b := reused.WalkLines(vpn), fresh.WalkLines(vpn); !reflect.DeepEqual(a, b) {
+			t.Errorf("walk lines(%#x) = %v, fresh table %v", uint64(vpn), a, b)
+		}
+	}
+	if reused.Stats() != fresh.Stats() {
+		t.Errorf("stats %+v, fresh table %+v", reused.Stats(), fresh.Stats())
+	}
+}

@@ -40,11 +40,18 @@ type ChurnStats struct {
 // allocation reusing them), so the workload never faults; only the
 // physical side and the affected anchors change.
 func RunWithChurn(cfg ChurnConfig) (Result, ChurnStats, error) {
-	base := cfg.Config.withDefaults()
+	cfg.Config = cfg.Config.withDefaults()
+	return runChurn(cfg, nil)
+}
+
+// runChurn runs a churn cell from a defaulted config, on the shared
+// inputs when in is non-nil.
+func runChurn(cfg ChurnConfig, in *Inputs) (Result, ChurnStats, error) {
+	base := cfg.Config
 	if cfg.ChurnIntervalInstructions == 0 || cfg.ChurnPages == 0 {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: churn interval and size must be positive")
 	}
-	c, err := newCell(base)
+	c, err := newCell(base, in)
 	if err != nil {
 		return Result{}, ChurnStats{}, err
 	}
@@ -53,9 +60,9 @@ func RunWithChurn(cfg ChurnConfig) (Result, ChurnStats, error) {
 	// within the architectural 40-bit PFN field.
 	r := rand.New(rand.NewSource(base.Seed ^ 0x636875726e)) // "churn"
 	freshPFN := mem.PFN(1) << 38
-	startVPN, endVPN := c.cl[0].StartVPN, c.cl[len(c.cl)-1].EndVPN()
+	startVPN, endVPN := c.mp.startVPN, c.mp.endVPN
 	var stats ChurnStats
-	d := newDrive(c.m, c.proc, c.generator(base.WarmupAccesses+base.Accesses), c.cfg)
+	d := newDrive(c.m, c.proc, c.source(), c.cfg)
 	d.interval = cfg.ChurnIntervalInstructions
 	d.action = func() error {
 		span := uint64(endVPN - startVPN)
@@ -80,5 +87,5 @@ func RunWithChurn(cfg ChurnConfig) (Result, ChurnStats, error) {
 	stats.EntryShootdowns = c.proc.EntryShootdowns()
 	stats.FullFlushes = c.proc.FullFlushes()
 	stats.DistanceChanges = c.proc.DistanceChanges()
-	return c.result(), stats, nil
+	return c.finish(), stats, nil
 }

@@ -147,7 +147,7 @@ type churnCase struct {
 func prefixInstrs(t *testing.T, cfg Config, n int) uint64 {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	c, err := newCell(cfg)
+	c, err := newCell(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +230,12 @@ func TestChurnBatchedEquivalence(t *testing.T) {
 // the golden reference. It sets up and reports through the same cell.
 func runWithChurnSerial(cfg ChurnConfig) (Result, ChurnStats, error) {
 	base := cfg.Config.withDefaults()
-	c, err := newCell(base)
+	c, err := newCell(base, nil)
 	if err != nil {
 		return Result{}, ChurnStats{}, err
 	}
-	proc, m, cl := c.proc, c.m, c.cl
-	startVPN := cl[0].StartVPN
-	endVPN := cl[len(cl)-1].EndVPN()
+	proc, m := c.proc, c.m
+	startVPN, endVPN := c.mp.startVPN, c.mp.endVPN
 	gen := c.generator(base.WarmupAccesses + base.Accesses)
 	r := rand.New(rand.NewSource(base.Seed ^ 0x636875726e))
 	freshPFN := mem.PFN(1) << 38

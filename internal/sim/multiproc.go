@@ -99,5 +99,5 @@ func processCell(pc Config, i int) (*cell, error) {
 	pc = pc.withDefaults()
 	pc.Seed += int64(i)
 	pc.WarmupAccesses = 0
-	return newCell(pc)
+	return newCell(pc, nil)
 }

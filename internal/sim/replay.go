@@ -15,16 +15,22 @@ func RunTrace(cfg Config, src trace.Source) (Result, error) {
 // runTrace sets up one cell and drives src through it, or the
 // workload's own generated trace when src is nil.
 func runTrace(cfg Config, src trace.Source, driveFn driveFunc) (Result, error) {
-	cfg = cfg.withDefaults()
-	c, err := newCell(cfg)
+	return runCell(cfg.withDefaults(), nil, src, driveFn)
+}
+
+// runCell sets up one cell from a defaulted config, on the shared inputs
+// when in is non-nil, and drives src through it — or, when src is nil,
+// the cell's own trace.
+func runCell(cfg Config, in *Inputs, src trace.Source, driveFn driveFunc) (Result, error) {
+	c, err := newCell(cfg, in)
 	if err != nil {
 		return Result{}, err
 	}
-	if n := cfg.WarmupAccesses + cfg.Accesses; src == nil {
-		src = c.generator(n)
+	if src == nil {
+		src = c.source()
 	} else {
-		src = trace.Limit(src, n)
+		src = trace.Limit(src, cfg.WarmupAccesses+cfg.Accesses)
 	}
 	driveFn(c.m, c.proc, src, c.cfg, &c.res)
-	return c.result(), nil
+	return c.finish(), nil
 }

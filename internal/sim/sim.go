@@ -210,21 +210,30 @@ func run(cfg Config, driveFn driveFunc) (Result, error) { return runTrace(cfg, n
 // cell is one simulation wired up: the mapping installed into an OS
 // process under the scheme's policy, the MMU over that process, and the
 // result header the drive and result complete. Every entry point —
-// Run, RunTrace, RunWithChurn and each process of RunMultiProcess —
-// sets up through newCell and reports through result.
+// Run, RunTrace, RunWithChurn, the Inputs runs and each process of
+// RunMultiProcess — sets up through newCell and reports through result.
 type cell struct {
 	cfg  Config
-	cl   mem.ChunkList
+	in   *Inputs // shared inputs, or nil when the cell generates its own
+	mp   preparedMapping
 	proc *osmem.Process
 	m    mmu.MMU
 	res  Result
 }
 
-// newCell sets up one simulation from a defaulted config: it generates
-// the mapping, applies DetailedWalk, installs the mapping (per-region
-// anchor distances under MultiRegionAnchors, else one process-wide
-// distance) and builds the MMU.
-func newCell(cfg Config) (*cell, error) {
+// preparedMapping is a generated chunk list ready to install: sorted and
+// coalesced, so processes can share it, plus what a cell needs of the
+// list as generated — its length (the reported chunk count), its first
+// chunk's start (the trace's base) and its last chunk's end (the end of
+// the churn range).
+type preparedMapping struct {
+	chunks           mem.ChunkList
+	generated        int
+	startVPN, endVPN mem.VPN
+}
+
+// prepareMapping generates and prepares a defaulted config's mapping.
+func prepareMapping(cfg Config) (preparedMapping, error) {
 	cl, err := mapping.Generate(cfg.Scenario, mapping.Config{
 		FootprintPages: cfg.FootprintPages,
 		Seed:           cfg.Seed,
@@ -232,7 +241,34 @@ func newCell(cfg Config) (*cell, error) {
 		FineGrained:    cfg.Workload.FineGrainedAlloc,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("sim: generating mapping: %w", err)
+		return preparedMapping{}, fmt.Errorf("sim: generating mapping: %w", err)
+	}
+	sorted, err := osmem.PrepareChunks(cl)
+	if err != nil {
+		return preparedMapping{}, fmt.Errorf("sim: installing mapping: %w", err)
+	}
+	return preparedMapping{
+		chunks:    sorted,
+		generated: len(cl),
+		startVPN:  cl[0].StartVPN,
+		endVPN:    cl[len(cl)-1].EndVPN(),
+	}, nil
+}
+
+// newCell sets up one simulation from a defaulted config: it takes the
+// shared inputs' mapping, or generates one when in is nil, applies
+// DetailedWalk, installs the mapping (per-region anchor distances under
+// MultiRegionAnchors, else one process-wide distance) and builds the
+// MMU. The process shares the prepared chunk list and never writes it.
+func newCell(cfg Config, in *Inputs) (*cell, error) {
+	var mp preparedMapping
+	if in != nil {
+		mp = in.mp
+	} else {
+		var err error
+		if mp, err = prepareMapping(cfg); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.DetailedWalk {
 		cfg.HW.Walk = mmu.NewWalkModel()
@@ -240,24 +276,26 @@ func newCell(cfg Config) (*cell, error) {
 	pol := cfg.Scheme.Policy()
 	pol.Cost = cfg.CostModel
 	proc := osmem.NewProcess(pol)
+	var err error
 	if cfg.MultiRegionAnchors {
-		err = proc.InstallChunksRegions(cl, 0)
+		err = proc.InstallChunksRegions(mp.chunks, 0)
 	} else {
-		err = proc.InstallChunks(cl, cfg.FixedDistance)
+		err = proc.InstallPrepared(mp.chunks, cfg.FixedDistance)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sim: installing mapping: %w", err)
 	}
 	return &cell{
 		cfg:  cfg,
-		cl:   cl,
+		in:   in,
+		mp:   mp,
 		proc: proc,
 		m:    mmu.New(cfg.Scheme, cfg.HW, proc),
 		res: Result{
 			Scheme:   cfg.Scheme,
 			Workload: cfg.Workload.Name,
 			Scenario: cfg.Scenario,
-			Chunks:   len(cl),
+			Chunks:   mp.generated,
 		},
 	}, nil
 }
@@ -265,7 +303,17 @@ func newCell(cfg Config) (*cell, error) {
 // generator returns the workload's access stream over the mapped
 // footprint, records long.
 func (c *cell) generator(records uint64) trace.Source {
-	return c.cfg.Workload.NewGenerator(c.cl[0].StartVPN, c.cfg.FootprintPages, records, c.cfg.Seed)
+	return c.cfg.Workload.NewGenerator(c.mp.startVPN, c.cfg.FootprintPages, records, c.cfg.Seed)
+}
+
+// source returns the cell's whole trace, WarmupAccesses+Accesses
+// records: a replay of the shared inputs' records, which are exactly
+// that long, or the workload's generator.
+func (c *cell) source() trace.Source {
+	if c.in != nil {
+		return trace.NewSliceSource(c.in.records)
+	}
+	return c.generator(c.cfg.WarmupAccesses + c.cfg.Accesses)
 }
 
 // result completes the result with the OS facts at the end of the run;
@@ -280,6 +328,17 @@ func (c *cell) result() Result {
 		c.res.AnchorActions = am.Actions()
 	}
 	return c.res
+}
+
+// finish returns the result. A cell on shared inputs then releases its
+// page table: such cells run back to back, so the next one set up reuses
+// its leaves. Nothing of the cell is used again.
+func (c *cell) finish() Result {
+	res := c.result()
+	if c.in != nil {
+		c.proc.Release()
+	}
+	return res
 }
 
 // batchRecords is the drive loop's batch size: large enough to amortize
@@ -506,15 +565,20 @@ func BestStaticIdeal(all []Result) Result {
 // RunStaticIdeal exhaustively evaluates every anchor distance with the
 // dynamic selection disabled and returns the best run (fewest misses)
 // — the paper's "static ideal" configuration — along with every
-// per-distance result.
+// per-distance result. The probes differ only in distance, so they
+// share one set of inputs.
 func RunStaticIdeal(cfg Config) (Result, []Result, error) {
 	cfgs, err := StaticIdealConfigs(cfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
+	in, err := NewInputs(cfg)
+	if err != nil {
+		return Result{}, nil, err
+	}
 	all := make([]Result, 0, len(cfgs))
 	for _, c := range cfgs {
-		r, err := Run(c)
+		r, err := in.Run(c)
 		if err != nil {
 			return Result{}, nil, err
 		}

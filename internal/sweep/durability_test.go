@@ -19,7 +19,7 @@ import (
 // fakeSim is a deterministic stand-in for the simulator: the result is
 // a pure function of the job, so byte-identity across runs is checkable
 // without paying for real simulations.
-func fakeSim(j Job) (sim.Result, sim.ChurnStats, error) {
+func fakeSim(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 	return sim.Result{
 		Scheme:       j.Config.Scheme,
 		Instructions: uint64(j.Config.Seed) * 100,
@@ -56,9 +56,9 @@ func TestStoreWriteThroughAndReload(t *testing.T) {
 	jobs := seedJobs(4)
 
 	var sims atomic.Int64
-	counted := func(j Job) (sim.Result, sim.ChurnStats, error) {
+	counted := func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		sims.Add(1)
-		return fakeSim(j)
+		return fakeSim(j, nil)
 	}
 
 	e1 := New(Options{Parallelism: 2, Store: store})
@@ -153,7 +153,7 @@ func TestRetryTransientThenSuccess(t *testing.T) {
 		Retry:       RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, Seed: 42},
 		Sleep:       instantSleep(&delays, &mu),
 	})
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		mu.Lock()
 		attempts[j.String()]++
 		n := attempts[j.String()]
@@ -161,7 +161,7 @@ func TestRetryTransientThenSuccess(t *testing.T) {
 		if n < 3 {
 			return sim.Result{}, sim.ChurnStats{}, errors.New("transient blip")
 		}
-		return fakeSim(j)
+		return fakeSim(j, nil)
 	}
 	results, err := e.Run(context.Background(), seedJobs(2))
 	if err != nil {
@@ -218,7 +218,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 		Retry:       RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond},
 		Sleep:       instantSleep(&delays, &mu),
 	})
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		calls.Add(1)
 		return sim.Result{}, sim.ChurnStats{}, Permanent(errors.New("bad config"))
 	}
@@ -238,7 +238,7 @@ func TestPanicNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	e := New(Options{Parallelism: 1, Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond},
 		Sleep: func(ctx context.Context, d time.Duration) bool { return true }})
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		calls.Add(1)
 		panic("boom")
 	}
@@ -268,7 +268,7 @@ func TestRetryOnlyRerunsFailedCells(t *testing.T) {
 		Sleep:       instantSleep(&delays, &mu),
 	})
 	var sims atomic.Int64
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		sims.Add(1)
 		mu.Lock()
 		defer mu.Unlock()
@@ -276,7 +276,7 @@ func TestRetryOnlyRerunsFailedCells(t *testing.T) {
 			failedOnce = true
 			return sim.Result{}, sim.ChurnStats{}, errors.New("flake")
 		}
-		return fakeSim(j)
+		return fakeSim(j, nil)
 	}
 	if _, err := e.Run(context.Background(), seedJobs(3)); err != nil {
 		t.Fatal(err)

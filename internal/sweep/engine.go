@@ -96,8 +96,13 @@ type Engine struct {
 
 	// runJob is the execution function; tests substitute it to inject
 	// blocking and completion-order inversions (probabilistic faults
-	// belong in Options.Faults).
-	runJob func(Job) (sim.Result, sim.ChurnStats, error)
+	// belong in Options.Faults). The group is the job's shared-input
+	// group, nil when no other task of the batch shares its input key.
+	runJob func(Job, *inputGroup) (sim.Result, sim.ChurnStats, error)
+	// inputsLive, when non-nil, observes shared-input lifetimes: +1 when
+	// a group builds its key's inputs, -1 when it releases them. Tests
+	// count builds and the live high-water mark with it.
+	inputsLive func(inputKey string, delta int)
 
 	mu    sync.Mutex
 	cache map[string]cached
@@ -135,16 +140,25 @@ func (e *Engine) Stats() CacheStats {
 	return e.stats
 }
 
-// execute runs one job.
-func execute(j Job) (res sim.Result, churn sim.ChurnStats, err error) {
+// execute runs one job, on its group's shared inputs when it has them.
+func execute(j Job, g *inputGroup) (res sim.Result, churn sim.ChurnStats, err error) {
+	in := g.inputs(j.Config)
 	if j.ChurnIntervalInstructions != 0 || j.ChurnPages != 0 {
-		return sim.RunWithChurn(sim.ChurnConfig{
+		cc := sim.ChurnConfig{
 			Config:                    j.Config,
 			ChurnIntervalInstructions: j.ChurnIntervalInstructions,
 			ChurnPages:                j.ChurnPages,
-		})
+		}
+		if in != nil {
+			return in.RunWithChurn(cc)
+		}
+		return sim.RunWithChurn(cc)
 	}
-	res, err = sim.Run(j.Config)
+	if in != nil {
+		res, err = in.Run(j.Config)
+	} else {
+		res, err = sim.Run(j.Config)
+	}
 	return res, sim.ChurnStats{}, err
 }
 
@@ -152,7 +166,7 @@ func execute(j Job) (res sim.Result, churn sim.ChurnStats, err error) {
 // in the simulator (or injected by the fault hook) into a per-job error
 // naming the job, so one failing cell cannot kill the sweep. Panics are
 // marked Permanent: re-running a crashing cell cannot help.
-func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int) (res sim.Result, churn sim.ChurnStats, err error) {
+func (e *Engine) safeRun(ctx context.Context, j Job, g *inputGroup, key string, attempt int) (res sim.Result, churn sim.ChurnStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = Permanent(fmt.Errorf("job %s: panic: %v", j, p))
@@ -169,7 +183,7 @@ func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int) (r
 			return res, churn, fmt.Errorf("job %s: %w", j, f.err)
 		}
 	}
-	res, churn, err = e.runJob(j)
+	res, churn, err = e.runJob(j, g)
 	if err != nil {
 		err = fmt.Errorf("job %s: %w", j, err)
 	}
@@ -195,7 +209,7 @@ func (e *Engine) runTask(ctx context.Context, t *task) (res sim.Result, churn si
 		job.Config.Probe = e.probe(job)
 	}
 	for attempt := 1; ; attempt++ {
-		res, churn, err = e.safeRun(ctx, job, t.key, attempt)
+		res, churn, err = e.safeRun(ctx, job, t.group, t.key, attempt)
 		if err == nil || attempt >= e.retry.MaxAttempts || IsPermanent(err) {
 			return res, churn, false, err
 		}
@@ -214,6 +228,9 @@ type task struct {
 	job       Job
 	key       string
 	positions []int
+	// group shares the task's inputs with the batch's other tasks of the
+	// same input key; nil when the task is its key's only one.
+	group *inputGroup
 }
 
 // Run executes the jobs and returns their results in input order,
@@ -295,6 +312,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 	}
 	e.mu.Unlock()
 	report(hits...)
+	tasks = e.groupTasks(tasks)
 
 	workers := e.parallelism
 	if workers > len(tasks) {
@@ -314,6 +332,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 				t := tasks[n]
 				if err := ctx.Err(); err != nil {
 					// Drain the queue, marking unstarted jobs cancelled.
+					t.group.finish()
 					for _, i := range t.positions {
 						results[i].Err = err
 					}
@@ -321,6 +340,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 					continue
 				}
 				res, churn, fromStore, err := e.runTask(ctx, t)
+				t.group.finish()
 				if err == nil && !e.disableCache {
 					e.mu.Lock()
 					e.cache[t.key] = cached{res: res, churn: churn}

@@ -177,7 +177,7 @@ func TestDeterministicOrder(t *testing.T) {
 	e := New(Options{Parallelism: n, DisableCache: true})
 	started := make(chan struct{}, n)
 	release := make(chan struct{})
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		started <- struct{}{}
 		<-release
 		// Later seeds return sooner.
@@ -231,7 +231,7 @@ func TestCacheHitCounting(t *testing.T) {
 	}
 	var executed atomic.Int64
 	e := New(Options{Parallelism: 4})
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		executed.Add(1)
 		return sim.Result{Instructions: uint64(j.Config.Seed)}, sim.ChurnStats{}, nil
 	}
@@ -268,7 +268,7 @@ func TestCacheHitCounting(t *testing.T) {
 	// DisableCache runs every duplicate.
 	raw := New(Options{Parallelism: 2, DisableCache: true})
 	var rawRuns atomic.Int64
-	raw.runJob = func(Job) (sim.Result, sim.ChurnStats, error) {
+	raw.runJob = func(Job, *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		rawRuns.Add(1)
 		return sim.Result{}, sim.ChurnStats{}, nil
 	}
@@ -294,7 +294,7 @@ func TestParallelWallClockSpeedup(t *testing.T) {
 	}
 	elapsed := func(parallelism int) time.Duration {
 		e := New(Options{Parallelism: parallelism, DisableCache: true})
-		e.runJob = func(Job) (sim.Result, sim.ChurnStats, error) {
+		e.runJob = func(Job, *inputGroup) (sim.Result, sim.ChurnStats, error) {
 			time.Sleep(delay)
 			return sim.Result{}, sim.ChurnStats{}, nil
 		}
@@ -320,7 +320,7 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := New(Options{Parallelism: 1, DisableCache: true})
 	blocked := make(chan struct{})
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		if j.Config.Seed == 0 {
 			close(blocked)
 			<-ctx.Done() // first job straddles the cancellation
@@ -354,7 +354,7 @@ func TestPanicRecovery(t *testing.T) {
 		jobs[i].Config.Scheme = mmu.Anchor
 	}
 	e := New(Options{Parallelism: 2, DisableCache: true})
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		if j.Config.Seed == 2 {
 			panic("boom")
 		}
@@ -382,7 +382,7 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	// A panic is not cached: a retry re-executes it.
 	recovered := false
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		if j.Config.Seed == 2 {
 			recovered = true
 		}
@@ -402,7 +402,7 @@ func TestErrorAggregation(t *testing.T) {
 		jobs[i].Config.Seed = int64(i)
 	}
 	e := New(Options{Parallelism: 2, DisableCache: true})
-	e.runJob = func(j Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		if j.Config.Seed > 0 {
 			return sim.Result{}, sim.ChurnStats{}, fmt.Errorf("cell broke")
 		}
@@ -429,7 +429,7 @@ func TestProgressReporting(t *testing.T) {
 			calls = append(calls, done)
 		},
 	})
-	e.runJob = func(Job) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(Job, *inputGroup) (sim.Result, sim.ChurnStats, error) {
 		return sim.Result{}, sim.ChurnStats{}, nil
 	}
 	if _, err := e.Run(context.Background(), jobs); err != nil {

@@ -106,17 +106,24 @@ func PartitionRegionsModel(cl mem.ChunkList, maxRegions int, model core.CostMode
 // distances (the multi-region extension). maxRegions is clamped to the
 // hardware region table size; zero means MaxHWRegions.
 func (p *Process) InstallChunksRegions(cl mem.ChunkList, maxRegions int) error {
+	sorted, err := PrepareChunks(cl)
+	if err != nil {
+		return err
+	}
+	return p.InstallPreparedRegions(sorted, maxRegions)
+}
+
+// InstallPreparedRegions is InstallChunksRegions for a list
+// PrepareChunks returned, which the process shares as InstallPrepared
+// does.
+func (p *Process) InstallPreparedRegions(sorted mem.ChunkList, maxRegions int) error {
 	if !p.policy.Anchors {
 		return fmt.Errorf("osmem: multi-region install requires an anchor policy")
 	}
 	if maxRegions <= 0 || maxRegions > MaxHWRegions {
 		maxRegions = MaxHWRegions
 	}
-	sorted, err := PrepareChunks(cl)
-	if err != nil {
-		return err
-	}
-	p.chunks = sorted
+	p.chunks = sorted[:len(sorted):len(sorted)]
 	p.regions = PartitionRegionsModel(sorted, maxRegions, p.policy.Cost)
 
 	p.pt = pagetable.New()

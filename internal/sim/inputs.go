@@ -28,15 +28,23 @@ func (c Config) InputKey() string {
 		c.Scenario, c.FootprintPages, c.Seed, c.Pressure, c.Accesses, c.WarmupAccesses)
 }
 
+// MaxSharedRecords bounds the trace Inputs hold in memory: 2^18 records,
+// 4 MiB at 16 bytes a record. A longer trace is not held; each cell on
+// the inputs streams it from the workload's generator, as an unshared
+// cell does, and shares only the mapping. A sweep engine that keeps one
+// input set per worker plus one therefore holds at most 4 MiB of trace
+// per worker, whatever the trace length it accepts.
+const MaxSharedRecords = 1 << 18
+
 // Inputs are one input key's generated mapping, prepared for install,
-// and its trace, WarmupAccesses+Accesses records long, held in memory
-// (16 bytes a record) so any number of cells can install and replay
-// them. Inputs are read-only once built: cells on different goroutines
-// may share them.
+// and — when it is at most MaxSharedRecords long — its trace,
+// WarmupAccesses+Accesses records, so any number of cells can install
+// and replay them. Inputs are read-only once built: cells on different
+// goroutines may share them.
 type Inputs struct {
 	key     string
 	mp      preparedMapping
-	records []trace.Record
+	records []trace.Record // nil when the trace is streamed per cell
 }
 
 // NewInputs generates the inputs of cfg's input key.
@@ -46,13 +54,15 @@ func NewInputs(cfg Config) (*Inputs, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.WarmupAccesses + cfg.Accesses
-	// One ReadBatch fills the whole trace: a generator only stops short
-	// when its records run out.
-	records := make([]trace.Record, n)
-	gen := cfg.Workload.NewGenerator(mp.startVPN, cfg.FootprintPages, n, cfg.Seed)
-	records = records[:gen.ReadBatch(records)]
-	return &Inputs{key: cfg.InputKey(), mp: mp, records: records}, nil
+	in := &Inputs{key: cfg.InputKey(), mp: mp}
+	if n := cfg.WarmupAccesses + cfg.Accesses; n <= MaxSharedRecords {
+		// One ReadBatch fills the whole trace: a generator only stops
+		// short when its records run out.
+		records := make([]trace.Record, n)
+		gen := cfg.Workload.NewGenerator(mp.startVPN, cfg.FootprintPages, n, cfg.Seed)
+		in.records = records[:gen.ReadBatch(records)]
+	}
+	return in, nil
 }
 
 // check defaults cfg and rejects it unless its inputs are these.

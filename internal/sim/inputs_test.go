@@ -117,6 +117,60 @@ func TestSharedInputsMatchRun(t *testing.T) {
 	}
 }
 
+// TestSharedInputsStreamLongTraces: Inputs hold a trace of at most
+// MaxSharedRecords records; a longer one is left to each cell's own
+// generator, and cells on such inputs — plain, per-region and churn —
+// still equal Run and RunWithChurn bit for bit.
+func TestSharedInputsStreamLongTraces(t *testing.T) {
+	cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "mcf")
+	cfg.Accesses, cfg.WarmupAccesses = MaxSharedRecords-1_000, 1_000
+	in, err := NewInputs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(in.records) != MaxSharedRecords {
+		t.Fatalf("a trace of exactly MaxSharedRecords holds %d records", len(in.records))
+	}
+
+	cfg.WarmupAccesses++
+	if in, err = NewInputs(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if in.records != nil {
+		t.Fatalf("a trace over MaxSharedRecords holds %d records", len(in.records))
+	}
+	multi := cfg
+	multi.MultiRegionAnchors = true
+	for _, c := range []Config{cfg, multi} {
+		want, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := in.Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("multi=%t: streamed shared cell diverged from Run:\nalone:  %+v\nshared: %+v", c.MultiRegionAnchors, want, got)
+		}
+	}
+	cc := ChurnConfig{Config: cfg, ChurnIntervalInstructions: 20_000, ChurnPages: 64}
+	wantRes, wantChurn, err := RunWithChurn(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRes, gotChurn, err := in.RunWithChurn(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantChurn.Operations == 0 {
+		t.Fatal("no churn operation fired")
+	}
+	if !reflect.DeepEqual(wantRes, gotRes) || wantChurn != gotChurn {
+		t.Error("streamed shared churn cell diverged from RunWithChurn")
+	}
+}
+
 // TestSharedInputsRejectOtherKeys: a config whose inputs differ from the
 // shared ones is refused before anything runs, whatever the entry point.
 func TestSharedInputsRejectOtherKeys(t *testing.T) {

@@ -278,7 +278,7 @@ func newCell(cfg Config, in *Inputs) (*cell, error) {
 	proc := osmem.NewProcess(pol)
 	var err error
 	if cfg.MultiRegionAnchors {
-		err = proc.InstallChunksRegions(mp.chunks, 0)
+		err = proc.InstallPreparedRegions(mp.chunks, 0)
 	} else {
 		err = proc.InstallPrepared(mp.chunks, cfg.FixedDistance)
 	}
@@ -308,9 +308,10 @@ func (c *cell) generator(records uint64) trace.Source {
 
 // source returns the cell's whole trace, WarmupAccesses+Accesses
 // records: a replay of the shared inputs' records, which are exactly
-// that long, or the workload's generator.
+// that long, or the workload's generator when the cell has no shared
+// trace.
 func (c *cell) source() trace.Source {
-	if c.in != nil {
+	if c.in != nil && c.in.records != nil {
 		return trace.NewSliceSource(c.in.records)
 	}
 	return c.generator(c.cfg.WarmupAccesses + c.cfg.Accesses)

@@ -10,20 +10,21 @@ import (
 // eight schemes of one (benchmark, scenario, seed) cell, static ideal's
 // sixteen distances, the churn set's schemes — while their generated
 // chunk list and trace are the same. The engine therefore groups the
-// cache-missing tasks of one input key (Job.InputKey), runs each group's
-// tasks back to back, and lets them share one sim.Inputs: the first
-// member to run builds it, the last to finish releases it. Every task
-// still runs alone through safeRun, so store probes, probes, fault
+// cache-missing tasks of one input key (sim.Config.InputKey), runs each
+// group's tasks back to back, and lets them share one sim.Inputs: the
+// first member to run builds it, the last to finish releases it. Every
+// task still runs alone through safeRun, so store probes, probes, fault
 // plans, retries, panic isolation and progress stay per cell.
 //
 // Memory: tasks are dispatched in group order, so only the groups of
 // the tasks in flight, plus at most the next group at the head of the
 // queue, hold inputs: at most Parallelism+1 input sets are live, each
-// 16 B a trace record plus its chunk list.
+// its chunk list plus a trace of at most sim.MaxSharedRecords records
+// (4 MiB). Longer traces are streamed by each cell, as without sharing.
 
 // inputGroup is the batch's tasks that share one input key.
 type inputGroup struct {
-	key   string                      // the members' Job.InputKey
+	key   string                      // the members' sim.Config.InputKey
 	track func(key string, delta int) // Engine.inputsLive
 
 	mu    sync.Mutex
@@ -81,7 +82,7 @@ func (e *Engine) groupTasks(tasks []*task) []*task {
 	index := make(map[string]int)
 	var byKey []keyed
 	for _, t := range tasks {
-		k := t.job.InputKey()
+		k := t.job.Config.InputKey()
 		i, ok := index[k]
 		if !ok {
 			i = len(byKey)

@@ -18,7 +18,8 @@ import (
 )
 
 // TestInputKeyCoversInputs walks sim.Config's fields: changing a field
-// that sim.NewInputs reads must change Job.InputKey (and a shared
+// that sim.NewInputs reads must change sim.Config.InputKey, the key the
+// engine groups tasks on (and a shared
 // Inputs must refuse the changed config), changing any other field must
 // not. A field added to sim.Config without a classification here fails.
 func TestInputKeyCoversInputs(t *testing.T) {
@@ -64,7 +65,7 @@ func TestInputKeyCoversInputs(t *testing.T) {
 		case isInput:
 			j := base
 			mutateIn(&j.Config)
-			if j.InputKey() == base.InputKey() {
+			if j.Config.InputKey() == base.Config.InputKey() {
 				t.Errorf("changing input field %s did not change the input key", name)
 			}
 			if _, err := in.Run(j.Config); err == nil {
@@ -73,7 +74,7 @@ func TestInputKeyCoversInputs(t *testing.T) {
 		case isOther:
 			j := base
 			mutateOther(&j.Config)
-			if j.InputKey() != base.InputKey() {
+			if j.Config.InputKey() != base.Config.InputKey() {
 				t.Errorf("changing %s changed the input key; the inputs do not depend on it", name)
 			}
 		default:
@@ -84,14 +85,10 @@ func TestInputKeyCoversInputs(t *testing.T) {
 		t.Errorf("%d fields classified, sim.Config has %d", len(inputs)+len(others), ct.NumField())
 	}
 
-	// Churn acts on the process, not on the generated inputs, and the
-	// defaulted form shares its zero form's inputs.
-	churned := base
-	churned.ChurnIntervalInstructions, churned.ChurnPages = 1000, 16
-	defaulted := base
-	defaulted.Config = defaulted.Config.WithDefaults()
-	if churned.InputKey() != base.InputKey() || defaulted.InputKey() != base.InputKey() {
-		t.Error("churn or defaulting changed the input key")
+	// The defaulted form shares its zero form's inputs. (Churn acts on
+	// the process and lives on the Job, outside the key.)
+	if base.Config.WithDefaults().InputKey() != base.Config.InputKey() {
+		t.Error("defaulting changed the input key")
 	}
 }
 
@@ -176,7 +173,7 @@ func mixedBatch(t *testing.T) (jobs []Job, stored int, shared map[string]bool) {
 	stored = 9 // a grid job: its key's group keeps seven other misses
 	shared = make(map[string]bool)
 	for _, j := range jobs {
-		shared[j.InputKey()] = true
+		shared[j.Config.InputKey()] = true
 	}
 	return jobs, stored, shared
 }
@@ -249,7 +246,7 @@ func TestEngineSharedInputs(t *testing.T) {
 			t.Errorf("uncached job %d (%v) differs from the job run alone", i, jobs[i])
 		}
 	}
-	if n := tr.builds[lone.InputKey()]; n != 0 {
+	if n := tr.builds[lone.Config.InputKey()]; n != 0 {
 		t.Errorf("a lone job built shared inputs %d times", n)
 	}
 }

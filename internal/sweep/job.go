@@ -74,17 +74,6 @@ func (j Job) Key() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// InputKey returns the key of the job's scheme-independent inputs: a
-// SHA-256 over the defaulted config's sim.Config.InputKey — the workload,
-// scenario, footprint, seed, pressure and trace length. Jobs with the
-// same input key generate the same chunk list and trace, whatever their
-// scheme, hardware, distance or churn, so the engine builds those
-// inputs once for all of them.
-func (j Job) InputKey() string {
-	sum := sha256.Sum256([]byte(j.Config.InputKey()))
-	return hex.EncodeToString(sum[:])
-}
-
 // Result pairs one job with its outcome. Exactly one of Res/Err is
 // meaningful; Churn is populated only for churn jobs.
 type Result struct {
